@@ -7,7 +7,8 @@ ms column is zero unless --timings is given, which is documented to break
 byte-identity).
 
 Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
-64 on schema or argument violations; 70 on resource limits.
+1 when a solver fails to certify; 64 on schema or argument violations; 70 on
+resource limits.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     ResourceLimitError,
     SolverFailureError,
     UnsupportedOperationError,
+    schema_faults,
 )
 from .partition import eval_mf, mf_from_json, random_partition, uniform_partition, validate_bounds
 from .setops import PointSet, hausdorff_hulls, pointset_from_json
@@ -70,18 +72,24 @@ def parse_schedule(spec: str) -> list[int]:
         raise InvalidArgumentError(f"cannot parse schedule {spec!r}") from exc
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidArgumentError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_config(path: str) -> dict:
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise InvalidArgumentError("config must be a JSON object")
     if cfg.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise InvalidArgumentError(f'unsupported config version {cfg.get("version")!r}')
     if "multifunction" not in cfg:
         raise InvalidArgumentError('config missing "multifunction"')
+    with schema_faults('config key "seed"'):
+        cfg["seed"] = int(cfg.get("seed", 0))
     return cfg
 
 
@@ -89,15 +97,29 @@ def _build_schedule(cfg, args):
     raw = getattr(args, "schedule", None) or cfg.get("schedule")
     if raw is None:
         raise InvalidArgumentError("no schedule given (config or --schedule)")
-    counts = parse_schedule(raw) if isinstance(raw, str) else [int(x) for x in raw]
+    with schema_faults("schedule"):
+        counts = parse_schedule(raw) if isinstance(raw, str) else [int(x) for x in raw]
     tag_rule = getattr(args, "tag_rule", None) or cfg.get("tagRule", "mid")
-    seed = cfg.get("seed", 0) if getattr(args, "seed", None) is None else args.seed
+    seed = cfg["seed"] if getattr(args, "seed", None) is None else args.seed
     parts = []
     for i, n in enumerate(counts):
         parts.append(
             uniform_partition(n, tag_rule, seed=None if tag_rule != "random" else seed + i)
         )
     return parts
+
+
+#: Numeric settings: command-line attribute -> (config key, default).
+_SETTINGS = {"tol": ("tol", 1e-6), "prune_delta": ("deltaStep", 0.0), "hull_tol": ("hullTol", 1e-8)}
+
+
+def _setting(args, cfg: dict, attr: str) -> float:
+    """The command-line value if given, else the config key, else the default."""
+    if getattr(args, attr) is not None:
+        return getattr(args, attr)
+    key, default = _SETTINGS[attr]
+    with schema_faults(f'config key "{key}"'):
+        return float(cfg.get(key, default))
 
 
 def _report_outputs(report, args):
@@ -112,25 +134,23 @@ def _report_outputs(report, args):
 def _cmd_integrate(args) -> int:
     cfg = _load_config(args.config)
     f = mf_from_json(cfg["multifunction"])
-    validate_bounds(f, samples=100, seed=int(cfg.get("seed", 0)))
+    validate_bounds(f, samples=100, seed=cfg["seed"])
     schedule = _build_schedule(cfg, args)
     candidate = None
     cand_obj = cfg.get("candidate")
     if args.candidate:
-        with open(args.candidate) as fh:
-            cand_obj = json.load(fh)
+        cand_obj = _read_json(args.candidate)
     if cand_obj is not None:
-        if isinstance(cand_obj, dict):
-            candidate = pointset_from_json(cand_obj)
-        else:
-            candidate = PointSet(f.space, np.asarray(cand_obj, dtype=float))
+        with schema_faults("candidate"):
+            candidate = (pointset_from_json(cand_obj) if isinstance(cand_obj, dict)
+                         else PointSet(f.space, np.asarray(cand_obj, dtype=float)))
     report = run_integrate(
         f,
         schedule,
         candidate=candidate,
-        tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-6)),
-        delta_step=args.prune_delta if args.prune_delta is not None else float(cfg.get("deltaStep", 0.0)),
-        hull_tol=args.hull_tol if args.hull_tol is not None else float(cfg.get("hullTol", 1e-8)),
+        tol=_setting(args, cfg, "tol"),
+        delta_step=_setting(args, cfg, "prune_delta"),
+        hull_tol=_setting(args, cfg, "hull_tol"),
     )
     sys.stdout.write(_report_outputs(report, args))
     sys.stdout.write(f"verdict: {report.verdict.status}\n")
@@ -141,11 +161,12 @@ def _cmd_convexity(args) -> int:
     cfg = _load_config(args.config)
     f = mf_from_json(cfg["multifunction"])
     schedule = _build_schedule(cfg, args)
-    delta = args.prune_delta if args.prune_delta is not None else float(cfg.get("deltaStep", 0.0))
-    report = run_integrate(f, schedule, delta_step=delta,
-                             tol=args.tol or float(cfg.get("tol", 1e-6)))
+    tol = _setting(args, cfg, "tol")
+    hull_tol = _setting(args, cfg, "hull_tol")
+    report = run_integrate(f, schedule, tol=tol, delta_step=_setting(args, cfg, "prune_delta"),
+                           hull_tol=hull_tol)
     limit = report.verdict.limit
-    finite, hull = convexity_defect(limit, args.hull_tol or 1e-8)
+    finite, hull = convexity_defect(limit, hull_tol)
     out = {
         "finiteDistance": finite,
         "hullDistance": hull,
@@ -153,31 +174,30 @@ def _cmd_convexity(args) -> int:
         "cardinality": len(limit.base),
     }
     sys.stdout.write(_dump(out, args.json))
-    return 0 if hull <= 2 * (args.tol or 1e-6) else 3
+    return 0 if hull <= 2 * tol else 3
 
 
 def _cmd_pushforward(args) -> int:
     cfg = _load_config(args.config)
     f = mf_from_json(cfg["multifunction"])
     schedule = _build_schedule(cfg, args)
-    with open(args.matrix) as fh:
-        p = np.asarray(json.load(fh), dtype=float)
+    with schema_faults("matrix"):
+        p = np.asarray(_read_json(args.matrix), dtype=float)
     report = pushforward_check(
         f, p, schedule,
-        tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-6)),
-        delta_step=args.prune_delta if args.prune_delta is not None else float(cfg.get("deltaStep", 0.0)),
+        tol=_setting(args, cfg, "tol"),
+        delta_step=_setting(args, cfg, "prune_delta"),
     )
     sys.stdout.write(_report_outputs(report, args))
     return report.exit_code
 
 
 def _load_vectors(path: str):
-    with open(path) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict):
-        return space_from_json(obj["space"]), np.asarray(obj["vectors"], dtype=float)
-    arr = np.asarray(obj, dtype=float)
-    return None, arr
+    obj = _read_json(path)
+    with schema_faults("vectors"):
+        if isinstance(obj, dict):
+            return space_from_json(obj["space"]), np.asarray(obj["vectors"], dtype=float)
+        return None, np.asarray(obj, dtype=float)
 
 
 def _cmd_balance(args) -> int:
@@ -217,11 +237,11 @@ def _cmd_infratype(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    with open(args.problem) as fh:
-        obj = json.load(fh)
-    space = space_from_json(obj["space"])
-    sets = tuple(PointSet(space, np.asarray(p, dtype=float)) for p in obj["sets"])
-    prob = bal.SelectionProblem(sets, np.asarray(obj["targets"], dtype=float))
+    obj = _read_json(args.problem)
+    with schema_faults("selection problem"):
+        space = space_from_json(obj["space"])
+        sets = tuple(PointSet(space, np.asarray(p, dtype=float)) for p in obj["sets"])
+        prob = bal.SelectionProblem(sets, np.asarray(obj["targets"], dtype=float))
     points, value = bal.select_points(prob, args.mode)
     out = {"points": points.tolist(), "value": value}
     ds = prob.diameters()

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class SetintError(Exception):
     """Base class for all setint errors."""
@@ -31,3 +33,15 @@ class SolverFailureError(SetintError):
         super().__init__(message)
         self.value = value
         self.gap = gap
+
+
+@contextlib.contextmanager
+def schema_faults(what: str):
+    """Re-raise the KeyError, TypeError or ValueError of a malformed JSON
+    document as InvalidArgumentError; setint's own errors pass through."""
+    try:
+        yield
+    except SetintError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed {what}: {type(exc).__name__} {exc}") from exc

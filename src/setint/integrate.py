@@ -9,9 +9,7 @@ certifies the distance to the exact sum.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,11 +71,19 @@ def riemann_sum(
 
 @dataclass(frozen=True)
 class Row:
+    """One schedule row; times are wall-clock milliseconds of the sum phase
+    and of the distance phase."""
+
     mesh: float
     distance: float
     prune_error: float
     cardinality: int
-    ms: float = 0.0
+    sum_ms: float = 0.0
+    distance_ms: float = 0.0
+
+    @property
+    def ms(self) -> float:
+        return self.sum_ms + self.distance_ms
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,8 @@ class ConvergenceReport:
                 "distance": r.distance,
                 "pruneError": r.prune_error,
                 "cardinality": r.cardinality,
-                **({"ms": r.ms} if timings else {}),
+                **({"ms": r.ms, "sumMs": r.sum_ms, "distanceMs": r.distance_ms}
+                   if timings else {}),
             }
             for r in self.rows
         ]
@@ -121,14 +128,6 @@ class ConvergenceReport:
     @property
     def exit_code(self) -> int:
         return {"converged": 0, "diverged": 2, "inconclusive": 3}[self.verdict.status]
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SETINT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _rate_estimate(meshes, distances) -> float | None:
@@ -170,58 +169,36 @@ def integrate(
         return _integrate_witness(f, schedule, tol)
 
     hull = is_hull_semantics(f)
-    sums: list[tuple[PrunedSet, float]] = [None] * len(schedule)
 
-    def run_one(i):
-        start = time.perf_counter()
-        s = riemann_sum(f, schedule[i], delta_step, cap)
-        return i, (s, (time.perf_counter() - start) * 1000.0)
-
-    workers = _worker_count()
-    if workers > 1 and len(schedule) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, payload in pool.map(run_one, range(len(schedule))):
-                sums[i] = payload
-    else:
-        for i in range(len(schedule)):
-            _, payload = run_one(i)
-            sums[i] = payload
+    def dist(a: PointSet, b: PointSet) -> float:
+        return hausdorff_hulls(a, b, hull_tol) if hull else hausdorff(a, b)
 
     rows = []
+    prev = None
+    for t in schedule:
+        start = time.perf_counter()
+        s = riemann_sum(f, t, delta_step, cap)
+        mid = time.perf_counter()
+        if candidate is not None:
+            d, err = dist(s.base, candidate), s.err_bound
+        elif prev is None:
+            d, err = float("nan"), s.err_bound
+        else:
+            d, err = dist(s.base, prev.base), s.err_bound + prev.err_bound
+        end = time.perf_counter()
+        rows.append(Row(t.mesh, d, err, len(s.base), (mid - start) * 1000.0, (end - mid) * 1000.0))
+        prev = s
     if candidate is not None:
-        for t, (s, ms) in zip(schedule, sums):
-            dist = (
-                hausdorff_hulls(s.base, candidate, hull_tol)
-                if hull
-                else hausdorff(s.base, candidate)
-            )
-            rows.append(Row(t.mesh, dist, s.err_bound, len(s.base), ms))
-        final = rows[-1]
-        limit = sums[-1][0]
-        if final.distance + final.prune_error < tol:
-            verdict = Verdict("converged", limit, _rate_estimate(meshes, [r.distance for r in rows]))
-        else:
-            verdict = Verdict("inconclusive", limit)
+        fit = rows
+        converged = rows[-1].distance + rows[-1].prune_error < tol
     else:
-        prev = None
-        for t, (s, ms) in zip(schedule, sums):
-            if prev is None:
-                dist = float("nan")
-            else:
-                dist = (
-                    hausdorff_hulls(s.base, prev.base, hull_tol)
-                    if hull
-                    else hausdorff(s.base, prev.base)
-                )
-            rows.append(Row(t.mesh, dist, s.err_bound + (prev.err_bound if prev else 0.0),
-                            len(s.base), ms))
-            prev = s
-        tail = [r.distance for r in rows[1:]][-3:]
-        limit = sums[-1][0]
-        if len(tail) >= 3 and all(d < tol / 2 for d in tail):
-            verdict = Verdict("converged", limit, _rate_estimate(meshes[1:], [r.distance for r in rows[1:]]))
-        else:
-            verdict = Verdict("inconclusive", limit)
+        fit = rows[1:]
+        converged = len(fit) >= 3 and all(r.distance < tol / 2 for r in fit[-3:])
+    if converged:
+        rate = _rate_estimate([r.mesh for r in fit], [r.distance for r in fit])
+        verdict = Verdict("converged", prev, rate)
+    else:
+        verdict = Verdict("inconclusive", prev)
     return ConvergenceReport(tuple(rows), verdict)
 
 
@@ -239,7 +216,7 @@ def _integrate_witness(f, schedule, tol) -> ConvergenceReport:
         dist = witness_distance(body.n, body.trunc_dim, len(t))
         ms = (time.perf_counter() - start) * 1000.0
         # Cardinality of the unmaterialized sum: one basis choice per interval.
-        rows.append(Row(t.mesh, dist, 0.0, body.trunc_dim ** len(t), ms))
+        rows.append(Row(t.mesh, dist, 0.0, body.trunc_dim ** len(t), distance_ms=ms))
     low = min(r.distance for r in rows)
     if low >= max(tol, 1.0 / 24.0):
         verdict = Verdict("diverged", None, None, low)
@@ -308,10 +285,12 @@ def pushforward_check(
         s = riemann_sum(f, t, delta_step)
         mapped = PointSet(target, s.base.points @ p.T)
         s_pf = riemann_sum(f, t, delta_step, transform=(p, target))
+        mid = time.perf_counter()
         dist = hausdorff(mapped, s_pf.base)
-        ms = (time.perf_counter() - start) * 1000.0
+        end = time.perf_counter()
         budget = s_pf.err_bound + operator_norm(f.space.norm, p) * s.err_bound
-        rows.append(Row(t.mesh, dist, budget, len(s_pf.base), ms))
+        rows.append(Row(t.mesh, dist, budget, len(s_pf.base),
+                        (mid - start) * 1000.0, (end - mid) * 1000.0))
     ok = all(r.distance <= r.prune_error + tol for r in rows)
     verdict = Verdict("converged" if ok else "inconclusive", None)
     return ConvergenceReport(tuple(rows), verdict)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError, schema_faults
 from .setops import PointSet
 from .spaces import SpaceDescriptor, norms, space_from_json, space_to_json
 
@@ -291,12 +291,10 @@ def _body_to_json(body: Body) -> dict:
 def mf_from_json(obj) -> Multifunction:
     if not isinstance(obj, dict):
         raise InvalidArgumentError("multifunction JSON must be an object")
-    for key in ("space", "body", "boundM", "diamBound"):
-        if key not in obj:
-            raise InvalidArgumentError(f'multifunction JSON missing "{key}"')
-    space = space_from_json(obj["space"])
-    body = _body_from_json(space, obj["body"])
-    return Multifunction(space, body, float(obj["boundM"]), float(obj["diamBound"]))
+    with schema_faults("multifunction JSON"):
+        space = space_from_json(obj["space"])
+        body = _body_from_json(space, obj["body"])
+        return Multifunction(space, body, float(obj["boundM"]), float(obj["diamBound"]))
 
 
 def _body_from_json(space: SpaceDescriptor, obj) -> Body:

@@ -4,6 +4,11 @@ oracles with certificates, and error-controlled pruning.
 Bounded sets are represented as finite point clouds; the convex hull of a set
 is represented implicitly by the same generators, and every hull query goes
 through a distance oracle (no facet or vertex enumeration anywhere).
+
+Nearest-neighbour queries (finite Hausdorff distances, the delta-net of
+``prune`` and the generator fast path of hull queries) go through a k-d tree,
+``scipy.spatial.cKDTree``, whose Minkowski exponents p = 1, 2 and infinity are
+exactly the l1, l2 and linf norms.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from . import simplex
 from .errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
-from .spaces import SpaceDescriptor, cdist_metric, space_from_json, space_to_json
+from .spaces import SpaceDescriptor, as_vector, cdist_metric, norms, space_from_json, space_to_json
 
 #: Dedup / point-equality tolerance, absolute per coordinate.
 DEDUP_TOL = 1e-12
@@ -24,6 +30,9 @@ DEDUP_TOL = 1e-12
 _PAIR_LIMIT = 20_000_000
 
 _CHUNK = 2048
+
+#: Minkowski exponent of each norm family, as cKDTree takes it.
+_KDTREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
 
 
 def _canonicalize(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -122,36 +131,24 @@ def minkowski(a: PointSet, b: PointSet) -> PointSet:
     return PointSet(a.space, sums)
 
 
-def _min_dists_to(a_pts: np.ndarray, b_pts: np.ndarray, metric: str) -> np.ndarray:
+def _min_dists_to(a_pts: np.ndarray, b_pts: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     """For each row of b_pts, the distance to the nearest row of a_pts."""
-    out = np.full(b_pts.shape[0], np.inf)
-    for j in range(0, b_pts.shape[0], _CHUNK):
-        block = b_pts[j:j + _CHUNK]
-        best = np.full(block.shape[0], np.inf)
-        for i in range(0, a_pts.shape[0], 8 * _CHUNK):
-            d = cdist(block, a_pts[i:i + 8 * _CHUNK], metric=metric)
-            np.minimum(best, d.min(axis=1), out=best)
-        out[j:j + _CHUNK] = best
-    return out
+    return cKDTree(a_pts).query(b_pts, p=_KDTREE_P[space.norm])[0]
 
 
 def one_sided_hausdorff(a: PointSet, b: PointSet) -> float:
     """sup over b in B of the distance from b to A (how far B sticks out of A)."""
     _check_same_space(a, b)
-    return float(_min_dists_to(a.points, b.points, cdist_metric(a.space)).max())
+    return float(_min_dists_to(a.points, b.points, a.space).max())
 
 
 def hausdorff(a: PointSet, b: PointSet) -> float:
-    _check_same_space(a, b)
-    metric = cdist_metric(a.space)
-    d_ab = _min_dists_to(a.points, b.points, metric).max()
-    d_ba = _min_dists_to(b.points, a.points, metric).max()
-    return float(max(d_ab, d_ba))
+    return max(one_sided_hausdorff(a, b), one_sided_hausdorff(b, a))
 
 
 def dist_point_to_set(x, a: PointSet) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(_min_dists_to(a.points, x[None, :], cdist_metric(a.space))[0])
+    x = as_vector(a.space, x)
+    return float(norms(a.space, a.points - x).min())
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +167,9 @@ def dist_point_to_hull(space: SpaceDescriptor, x, a: PointSet, tol: float = 1e-8
         raise InvalidArgumentError("tol must be positive")
     if a.space != space:
         raise InvalidArgumentError("generator set does not live in the given space")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.dim,):
-        raise InvalidArgumentError("query point dimension mismatch")
+    x = as_vector(space, x)
     # Fast path: x coincides with a generator.
-    nearest = dist_point_to_set(x, a)
-    if nearest <= DEDUP_TOL:
+    if dist_point_to_set(x, a) <= DEDUP_TOL:
         return 0.0, 0.0
     if space.norm == "l2":
         return _hull_dist_l2(x, a.points, tol)
@@ -290,10 +284,9 @@ def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
     skipped.
     """
     _check_same_space(a, b)
-    metric = cdist_metric(a.space)
 
     def side(target: PointSet, queries: PointSet) -> float:
-        near = _min_dists_to(target.points, queries.points, metric)
+        near = _min_dists_to(target.points, queries.points, a.space)
         worst = 0.0
         for i in np.argsort(-near):
             if near[i] <= DEDUP_TOL:
@@ -308,31 +301,25 @@ def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
 def prune(a: PointSet, delta: float) -> PrunedSet:
     """Greedy delta-net over the canonical point order.
 
-    A point is kept iff it is more than delta away from every kept point, so
-    every dropped point is within delta of the result and the Hausdorff error
-    is certified by delta.
+    Invariant: a point is kept iff it is more than delta away from every
+    earlier kept point.  The walk keeps each point not yet covered and marks
+    its closed delta-ball as covered, so every dropped point is within delta
+    of the result and the Hausdorff error is certified by delta.
     """
     if delta < 0:
         raise InvalidArgumentError("delta must be nonnegative")
     if delta == 0 or len(a) == 1:
         return PrunedSet(a, float(delta))
-    metric = cdist_metric(a.space)
     pts = a.points
-    kept = [pts[0]]
-    i = 1
-    n = pts.shape[0]
-    while i < n:
-        block = pts[i:i + _CHUNK]
-        kept_arr = np.asarray(kept)
-        near = _min_dists_to(kept_arr, block, metric)
-        survivors = block[near > delta]
-        # Survivors may still exclude each other; resolve sequentially.
-        for p in survivors:
-            d = cdist(p[None, :], np.asarray(kept), metric=metric)
-            if d.min() > delta:
-                kept.append(p)
-        i += _CHUNK
-    return PrunedSet(PointSet(a.space, np.asarray(kept)), float(delta))
+    tree = cKDTree(pts)
+    p = _KDTREE_P[a.space.norm]
+    covered = np.zeros(pts.shape[0], dtype=bool)
+    kept = []
+    for i in range(pts.shape[0]):
+        if not covered[i]:
+            kept.append(i)
+            covered[tree.query_ball_point(pts[i], delta, p=p)] = True
+    return PrunedSet(PointSet(a.space, pts[kept]), float(delta))
 
 
 def pointset_to_json(a: PointSet) -> dict:

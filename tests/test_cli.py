@@ -7,7 +7,7 @@ from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, parse_schedul
 from setint.errors import InvalidArgumentError
 
 
-def triangle_config(tmp_path, **overrides):
+def triangle_cfg(**overrides) -> dict:
     cfg = {
         "version": CONFIG_VERSION,
         "multifunction": {
@@ -31,9 +31,23 @@ def triangle_config(tmp_path, **overrides):
         "candidate": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
     }
     cfg.update(overrides)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    return cfg
+
+
+def write_json(tmp_path, name, obj) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
     return str(path)
+
+
+def triangle_config(tmp_path, **overrides):
+    return write_json(tmp_path, "cfg.json", triangle_cfg(**overrides))
+
+
+def triangle_with_inner_body(body) -> dict:
+    cfg = triangle_cfg()
+    cfg["multifunction"]["body"]["inner"]["body"] = body
+    return cfg
 
 
 def test_parse_schedule_list():
@@ -116,6 +130,52 @@ def test_convexity_command(tmp_path, capsys):
     assert out["hullDistance"] <= 2e-6
 
 
+@pytest.mark.parametrize("command, flag, document", [
+    pytest.param("integrate", "--config",
+                 triangle_with_inner_body({"kind": "constant", "points": "abc"}),
+                 id="points-not-numbers"),
+    pytest.param("integrate", "--config",
+                 triangle_with_inner_body({"kind": "piecewise_constant", "breaks": [0.0, 1.0]}),
+                 id="piecewise-without-sets"),
+    pytest.param("integrate", "--config", triangle_cfg(tol="abc"), id="tol-not-a-number"),
+    pytest.param("integrate", "--config", triangle_cfg(seed="abc"), id="seed-not-a-number"),
+    pytest.param("integrate", "--config", triangle_cfg(schedule=["a"]), id="schedule-not-numbers"),
+    pytest.param("integrate", "--config", triangle_cfg(candidate="abc"), id="candidate-not-numbers"),
+    pytest.param("balance", "--vectors", {"space": {"dim": 2, "norm": "l2"}, "vectors": "abc"},
+                 id="vectors-not-numbers"),
+    pytest.param("select", "--problem",
+                 {"sets": [[[0.0, 0.0], [1.0, 0.0]]], "targets": [[0.5, 0.0]]},
+                 id="select-without-space"),
+])
+def test_schema_fault_exit_schema(tmp_path, capsys, command, flag, document):
+    path = write_json(tmp_path, "input.json", document)
+    assert run([command, flag, path]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["integrate", "convexity"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_hull_tol_zero_exit_schema_in_integrate_and_convexity(tmp_path, command, source):
+    if source == "flag":
+        argv = ["--config", triangle_config(tmp_path), "--hull-tol", "0"]
+    else:
+        argv = ["--config", triangle_config(tmp_path, hullTol=0.0)]
+    assert run([command, *argv]) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("flags, overrides, code", [
+    pytest.param([], {}, 0, id="default"),
+    pytest.param(["--tol", "0"], {}, 3, id="flag-zero"),
+    pytest.param([], {"tol": 1e-9}, 3, id="config"),
+    pytest.param(["--tol", "1e-6"], {"tol": 1e-9}, 0, id="flag-over-config"),
+])
+def test_convexity_resolves_tol_like_integrate(tmp_path, monkeypatch, flags, overrides, code):
+    # a hull defect of 1e-7 passes iff it is within 2 * tol
+    monkeypatch.setattr("setint.cli.convexity_defect", lambda limit, hull_tol: (0.0, 1e-7))
+    cfg = triangle_config(tmp_path, **overrides)
+    assert run(["convexity", "--config", cfg, *flags]) == code
+
+
 def test_pushforward_command(tmp_path, capsys):
     cfg = triangle_config(tmp_path)
     mat = tmp_path / "p.json"
@@ -128,6 +188,12 @@ def test_pushforward_dimension_mismatch_exit_schema(tmp_path):
     mat = tmp_path / "p.json"
     mat.write_text(json.dumps([[1.0, 1.0, 1.0]]))
     assert run(["pushforward", "--config", cfg, "--matrix", str(mat)]) == EXIT_SCHEMA
+
+
+def test_pushforward_malformed_matrix_exit_schema(tmp_path, capsys):
+    mat = write_json(tmp_path, "p.json", [["a", "b"]])
+    assert run(["pushforward", "--config", triangle_config(tmp_path), "--matrix", mat]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_balance_command(tmp_path, capsys):

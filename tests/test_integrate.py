@@ -107,6 +107,21 @@ def test_report_csv_shape():
     assert "ms" not in obj["rows"][0]
 
 
+def test_rows_time_sum_and_distance_phases():
+    f = hull_segment_mf()
+    report = integrate(f, [uniform_partition(n) for n in (2, 4, 8)],
+                       candidate=eval_mf(f, 0.0))
+    for r in report.rows:
+        assert r.sum_ms > 0 and r.distance_ms > 0
+        assert r.ms == r.sum_ms + r.distance_ms
+    row = report.to_json(timings=True)["rows"][0]
+    assert (row["ms"], row["sumMs"], row["distanceMs"]) == (
+        report.rows[0].ms, report.rows[0].sum_ms, report.rows[0].distance_ms)
+    lines = report.to_csv(timings=True).splitlines()
+    assert lines[0] == "mesh,distance,prune_error,cardinality,ms"
+    assert lines[1].endswith("," + repr(report.rows[0].ms))
+
+
 def test_halved_partition_identity_exact():
     # S(F, fine) equals the half-sum of the two coarse-tagged sums, exactly
     space = l2(2)

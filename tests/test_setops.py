@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from setint.errors import InvalidArgumentError
 from setint.setops import (
@@ -21,7 +22,7 @@ from setint.setops import (
     scale,
     translate,
 )
-from setint.spaces import l1, l2, linf
+from setint.spaces import cdist_metric, l1, l2, linf
 
 SQ2 = math.sqrt(2.0)
 
@@ -235,3 +236,77 @@ def test_space_mismatch_raises():
     b = ps(l1(2), [[0, 0]])
     with pytest.raises(InvalidArgumentError):
         minkowski(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force references: the chunked cdist loops the k-d tree replaced.
+
+_REF_CHUNK = 2048
+
+
+def _ref_min_dists_to(a_pts, b_pts, metric):
+    out = np.full(b_pts.shape[0], np.inf)
+    for j in range(0, b_pts.shape[0], _REF_CHUNK):
+        block = b_pts[j:j + _REF_CHUNK]
+        best = np.full(block.shape[0], np.inf)
+        for i in range(0, a_pts.shape[0], 8 * _REF_CHUNK):
+            d = cdist(block, a_pts[i:i + 8 * _REF_CHUNK], metric=metric)
+            np.minimum(best, d.min(axis=1), out=best)
+        out[j:j + _REF_CHUNK] = best
+    return out
+
+
+def _ref_prune_points(a, delta):
+    """Kept points of the greedy delta-net: a point is kept iff it is more
+    than delta from every earlier kept point, in canonical order."""
+    metric = cdist_metric(a.space)
+    kept = [a.points[0]]
+    for p in a.points[1:]:
+        if cdist(p[None, :], np.asarray(kept), metric=metric).min() > delta:
+            kept.append(p)
+    return np.asarray(kept)
+
+
+def _reference_clouds():
+    """(space, cloud, other cloud, delta): random clouds, and dyadic grids with
+    delta a multiple of 1/16, where distances tie with delta exactly."""
+    rng = np.random.default_rng(2024)
+    for make in (l1, l2, linf):
+        for dim, n, delta in ((2, 400, 0.1), (3, 600, 0.3)):
+            space = make(dim)
+            yield pytest.param(space, random_ps(space, n, rng), random_ps(space, n // 2, rng),
+                               delta, id=f"{space.norm}-random-{dim}d")
+        for dim, k in ((2, 17), (3, 7)):
+            space = make(dim)
+            axes = np.meshgrid(*[np.arange(k) / 16.0] * dim)
+            grid = PointSet(space, np.stack([ax.ravel() for ax in axes], axis=1))
+            shifted = PointSet(space, np.floor(rng.random((80, dim)) * 2 * k) / 32.0)
+            for m in (1, 2, 3):
+                yield pytest.param(space, grid, shifted, m / 16.0,
+                                   id=f"{space.norm}-grid-{dim}d-delta{m}/16")
+
+
+REFERENCE_CASES = list(_reference_clouds())
+
+
+@pytest.mark.parametrize("space, a, _, delta", REFERENCE_CASES)
+def test_prune_keeps_reference_points(space, a, _, delta):
+    assert np.array_equal(prune(a, delta).base.points, _ref_prune_points(a, delta))
+
+
+@pytest.mark.parametrize("space, a, b, _", REFERENCE_CASES)
+def test_distances_equal_reference(space, a, b, _):
+    metric = cdist_metric(space)
+    d_ab = _ref_min_dists_to(a.points, b.points, metric)
+    d_ba = _ref_min_dists_to(b.points, a.points, metric)
+    assert one_sided_hausdorff(a, b) == d_ab.max()
+    assert one_sided_hausdorff(b, a) == d_ba.max()
+    assert hausdorff(a, b) == max(d_ab.max(), d_ba.max())
+    for x, want in zip(b.points[:20], d_ab[:20]):
+        assert dist_point_to_set(x, a) == want
+
+
+@pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+def test_dist_point_to_set_rejects_wrong_shape(x):
+    with pytest.raises(InvalidArgumentError):
+        dist_point_to_set(x, ps(l2(2), [[0, 0], [2, 0]]))
