@@ -90,6 +90,8 @@ def _load_config(path: str) -> dict:
         raise InvalidArgumentError('config missing "multifunction"')
     with schema_faults('config key "seed"'):
         cfg["seed"] = int(cfg.get("seed", 0))
+    if cfg["seed"] < 0:
+        raise InvalidArgumentError('config key "seed" must be nonnegative')
     return cfg
 
 
@@ -97,16 +99,13 @@ def _build_schedule(cfg, args):
     raw = getattr(args, "schedule", None) or cfg.get("schedule")
     if raw is None:
         raise InvalidArgumentError("no schedule given (config or --schedule)")
-    with schema_faults("schedule"):
-        counts = parse_schedule(raw) if isinstance(raw, str) else [int(x) for x in raw]
     tag_rule = getattr(args, "tag_rule", None) or cfg.get("tagRule", "mid")
     seed = cfg["seed"] if getattr(args, "seed", None) is None else args.seed
-    parts = []
-    for i, n in enumerate(counts):
-        parts.append(
-            uniform_partition(n, tag_rule, seed=None if tag_rule != "random" else seed + i)
-        )
-    return parts
+    with schema_faults("schedule"):
+        counts = parse_schedule(raw) if isinstance(raw, str) else [int(x) for x in raw]
+        # an interval count too large for an array is malformed, too
+        return [uniform_partition(n, tag_rule, seed=None if tag_rule != "random" else seed + i)
+                for i, n in enumerate(counts)]
 
 
 #: Numeric settings: command-line attribute -> (config key, default).
@@ -122,6 +121,15 @@ def _setting(args, cfg: dict, attr: str) -> float:
         return float(cfg.get(key, default))
 
 
+def _load_problem(args):
+    """Config, multifunction (declared bounds checked) and schedule of a
+    report command."""
+    cfg = _load_config(args.config)
+    f = mf_from_json(cfg["multifunction"])
+    validate_bounds(f, samples=100, seed=cfg["seed"])
+    return cfg, f, _build_schedule(cfg, args)
+
+
 def _report_outputs(report, args):
     payload = report.to_json(timings=args.timings)
     text = _dump(payload, args.json)
@@ -132,10 +140,7 @@ def _report_outputs(report, args):
 
 
 def _cmd_integrate(args) -> int:
-    cfg = _load_config(args.config)
-    f = mf_from_json(cfg["multifunction"])
-    validate_bounds(f, samples=100, seed=cfg["seed"])
-    schedule = _build_schedule(cfg, args)
+    cfg, f, schedule = _load_problem(args)
     candidate = None
     cand_obj = cfg.get("candidate")
     if args.candidate:
@@ -158,9 +163,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    cfg = _load_config(args.config)
-    f = mf_from_json(cfg["multifunction"])
-    schedule = _build_schedule(cfg, args)
+    cfg, f, schedule = _load_problem(args)
     tol = _setting(args, cfg, "tol")
     hull_tol = _setting(args, cfg, "hull_tol")
     report = run_integrate(f, schedule, tol=tol, delta_step=_setting(args, cfg, "prune_delta"),
@@ -178,9 +181,7 @@ def _cmd_convexity(args) -> int:
 
 
 def _cmd_pushforward(args) -> int:
-    cfg = _load_config(args.config)
-    f = mf_from_json(cfg["multifunction"])
-    schedule = _build_schedule(cfg, args)
+    cfg, f, schedule = _load_problem(args)
     with schema_faults("matrix"):
         p = np.asarray(_read_json(args.matrix), dtype=float)
     report = pushforward_check(
@@ -291,40 +292,41 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="setint", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, csv=True):
+    def common(p):
+        p.add_argument("--config", required=True)
+        p.add_argument("--schedule", help="interval counts: '2,4,8' or 'uniform:2^1..2^8'")
+        p.add_argument("--tag-rule", choices=("left", "right", "mid", "random"))
         p.add_argument("--json", help="write JSON output to this path")
-        if csv:
-            p.add_argument("--csv", help="write the per-mesh CSV table to this path")
         p.add_argument("--tol", type=float, default=None, help="convergence tolerance (default 1e-6)")
         p.add_argument("--prune-delta", type=float, default=None,
                        help="per-step pruning radius (default from config, else 0)")
-        p.add_argument("--hull-tol", type=float, default=None,
-                       help="hull-distance certificate tolerance (default 1e-8)")
-        p.add_argument("--timings", action="store_true",
-                       help="emit wall-clock times (breaks byte-identical reruns)")
         p.add_argument("--seed", type=int, default=None)
 
+    def hull_tol(p):
+        p.add_argument("--hull-tol", type=float, default=None,
+                       help="hull-distance certificate tolerance (default 1e-8)")
+
+    def table(p):
+        p.add_argument("--csv", help="write the per-mesh CSV table to this path")
+        p.add_argument("--timings", action="store_true",
+                       help="emit wall-clock times (breaks byte-identical reruns)")
+
     p = sub.add_parser("integrate", help="run a convergence schedule")
-    p.add_argument("--config", required=True)
-    p.add_argument("--schedule", help="interval counts: '2,4,8' or 'uniform:2^1..2^8'")
-    p.add_argument("--tag-rule", choices=("left", "right", "mid", "random"))
     p.add_argument("--candidate", help="JSON file with candidate limit points")
     common(p)
+    hull_tol(p)
+    table(p)
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("convexity", help="convexity defect of a computed limit")
-    p.add_argument("--config", required=True)
-    p.add_argument("--schedule")
-    p.add_argument("--tag-rule", choices=("left", "right", "mid", "random"))
     common(p)
+    hull_tol(p)
     p.set_defaults(func=_cmd_convexity)
 
     p = sub.add_parser("pushforward", help="compare P(S(F,T)) with S(P o F, T)")
-    p.add_argument("--config", required=True)
     p.add_argument("--matrix", required=True, help="JSON file with the matrix rows")
-    p.add_argument("--schedule")
-    p.add_argument("--tag-rule", choices=("left", "right", "mid", "random"))
     common(p)
+    table(p)
     p.set_defaults(func=_cmd_pushforward)
 
     p = sub.add_parser("balance", help="sign balancing of a vector family")

@@ -9,6 +9,7 @@ certifies the distance to the exact sum.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -215,8 +216,10 @@ def _integrate_witness(f, schedule, tol) -> ConvergenceReport:
         start = time.perf_counter()
         dist = witness_distance(body.n, body.trunc_dim, len(t))
         ms = (time.perf_counter() - start) * 1000.0
-        # Cardinality of the unmaterialized sum: one basis choice per interval.
-        rows.append(Row(t.mesh, dist, 0.0, body.trunc_dim ** len(t), distance_ms=ms))
+        # Distinct points of the unmaterialized sum of len(t) copies of
+        # {e_1..e_N} / len(t): the multisets of len(t) basis vectors.
+        cardinality = math.comb(body.trunc_dim + len(t) - 1, len(t))
+        rows.append(Row(t.mesh, dist, 0.0, cardinality, distance_ms=ms))
     low = min(r.distance for r in rows)
     if low >= max(tol, 1.0 / 24.0):
         verdict = Verdict("diverged", None, None, low)

@@ -47,6 +47,12 @@ class TaggedPartition:
 
     @property
     def widths(self) -> np.ndarray:
+        """Interval lengths.  On the uniform grid each is the correctly rounded
+        1/n: differences of its rounded breakpoints are off by an ulp, and
+        unequal widths would split equal points of a Riemann sum."""
+        n = len(self)
+        if np.array_equal(self.breakpoints, _uniform_breakpoints(n)):
+            return np.full(n, 1.0 / n)
         return np.diff(self.breakpoints)
 
     @property
@@ -74,11 +80,14 @@ def _pick_tags(lo: np.ndarray, hi: np.ndarray, tag_rule: str, seed=None) -> np.n
     raise InvalidArgumentError(f"tag rule must be one of {TAG_RULES}, got {tag_rule!r}")
 
 
+def _uniform_breakpoints(n: int) -> np.ndarray:
+    return np.arange(n + 1, dtype=float) / n
+
+
 def uniform_partition(n: int, tag_rule: str = "mid", seed=None) -> TaggedPartition:
     if n < 1:
         raise InvalidArgumentError("need at least one interval")
-    bp = np.arange(n + 1, dtype=float) / n
-    bp[-1] = 1.0
+    bp = _uniform_breakpoints(n)
     return TaggedPartition(bp, _pick_tags(bp[:-1], bp[1:], tag_rule, seed))
 
 

@@ -35,20 +35,20 @@ _CHUNK = 2048
 _KDTREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
 
 
-def _canonicalize(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Sort rows lexicographically and drop (near-)duplicates.
+def _canonicalize(points: np.ndarray) -> np.ndarray:
+    """Sort rows lexicographically (first column most significant) and drop
+    near-duplicates.
 
-    Exact duplicates are removed by np.unique; a row that agrees with its
-    predecessor to within ``tol`` in every coordinate is also dropped.
+    One stable lexsort orders the rows, and a row is kept iff it differs from
+    its sorted predecessor by more than DEDUP_TOL in some coordinate; exact
+    duplicates fall under the same rule.  Among rows that are equal as numbers
+    (0.0 and -0.0, say) the first in input order is kept.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if pts.shape[0] > 1 and tol > 0:
-        close = np.abs(np.diff(pts, axis=0)).max(axis=1) <= tol
-        if close.any():
-            keep = np.ones(pts.shape[0], dtype=bool)
-            keep[1:] = ~close
-            pts = pts[keep]
-    return pts
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.ones(pts.shape[0], dtype=bool)
+    keep[1:] = np.abs(np.diff(pts, axis=0)).max(axis=1) > DEDUP_TOL
+    return pts[keep]
 
 
 @dataclass(frozen=True)
@@ -236,35 +236,20 @@ def _hull_dist_l2(x: np.ndarray, pts: np.ndarray, tol: float, max_iter: int = 10
 
 
 def _hull_dist_lp(space: SpaceDescriptor, x: np.ndarray, pts: np.ndarray) -> float:
-    """Exact l1/linf hull distance as an LP over hull coefficients and
-    per-coordinate deviation bounds."""
+    """Exact l1/linf hull distance as an LP over hull coefficients lambda and
+    deviation bounds: |x_j - (A^T lambda)_j| <= u_j for l1, <= u for linf."""
     g, d = pts.shape
-    if space.norm == "l1":
-        nvar = g + d  # lambda, u_j with |x_j - (A^T lam)_j| <= u_j
-        c = np.zeros(nvar)
-        c[g:] = 1.0
-        a_ub = np.zeros((2 * d, nvar))
-        b_ub = np.zeros(2 * d)
-        for j in range(d):
-            a_ub[2 * j, :g] = pts[:, j]
-            a_ub[2 * j, g + j] = -1.0
-            b_ub[2 * j] = x[j]
-            a_ub[2 * j + 1, :g] = -pts[:, j]
-            a_ub[2 * j + 1, g + j] = -1.0
-            b_ub[2 * j + 1] = -x[j]
-    else:  # linf: single deviation bound u
-        nvar = g + 1
-        c = np.zeros(nvar)
-        c[g] = 1.0
-        a_ub = np.zeros((2 * d, nvar))
-        b_ub = np.zeros(2 * d)
-        for j in range(d):
-            a_ub[2 * j, :g] = pts[:, j]
-            a_ub[2 * j, g] = -1.0
-            b_ub[2 * j] = x[j]
-            a_ub[2 * j + 1, :g] = -pts[:, j]
-            a_ub[2 * j + 1, g] = -1.0
-            b_ub[2 * j + 1] = -x[j]
+    nvar = g + (d if space.norm == "l1" else 1)
+    c = np.zeros(nvar)
+    c[g:] = 1.0
+    a_ub = np.zeros((2 * d, nvar))
+    a_ub[0::2, :g] = pts.T
+    a_ub[1::2, :g] = -pts.T
+    rows = np.arange(2 * d)
+    a_ub[rows, g + (rows // 2 if space.norm == "l1" else 0)] = -1.0
+    b_ub = np.empty(2 * d)
+    b_ub[0::2] = x
+    b_ub[1::2] = -x
     a_eq = np.zeros((1, nvar))
     a_eq[0, :g] = 1.0
     sol, _ = simplex.solve_lp(c, a_ub, b_ub, a_eq, [1.0])

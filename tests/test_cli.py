@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, parse_schedule, run
 from setint.errors import InvalidArgumentError
@@ -113,13 +120,30 @@ def test_missing_multifunction_exit_schema(tmp_path):
     assert run(["integrate", "--config", str(path)]) == EXIT_SCHEMA
 
 
-def test_bound_violation_exit_schema(tmp_path):
-    cfg = triangle_config(tmp_path)
-    obj = json.loads(open(cfg).read())
-    obj["multifunction"]["boundM"] = 0.1
-    obj["multifunction"]["body"]["inner"]["boundM"] = 0.1
-    open(cfg, "w").write(json.dumps(obj))
-    assert run(["integrate", "--config", cfg]) == EXIT_SCHEMA
+@pytest.mark.parametrize("command", ["integrate", "convexity", "pushforward"])
+def test_bound_violation_exit_schema(tmp_path, capsys, command):
+    cfg = triangle_cfg()
+    cfg["multifunction"]["boundM"] = 0.1
+    cfg["multifunction"]["body"]["inner"]["boundM"] = 0.1
+    argv = [command, "--config", write_json(tmp_path, "cfg.json", cfg)]
+    if command == "pushforward":
+        argv += ["--matrix", write_json(tmp_path, "p.json", [[1.0, 1.0]])]
+    assert run(argv) == EXIT_SCHEMA
+    assert "declared norm bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("convexity", ["--csv", "rows.csv"]),
+    ("convexity", ["--timings"]),
+    ("pushforward", ["--hull-tol", "1e-8"]),
+])
+def test_removed_flags_are_rejected(tmp_path, command, flag):
+    argv = [command, "--config", triangle_config(tmp_path), *flag]
+    if command == "pushforward":
+        argv += ["--matrix", write_json(tmp_path, "p.json", [[1.0, 1.0]])]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2  # argparse's usage error
 
 
 def test_convexity_command(tmp_path, capsys):
@@ -255,3 +279,62 @@ def test_counterexample_l1_diverges_exit_2(tmp_path, capsys):
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         run(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing: any mutation of a valid config exits with a documented code.
+
+#: A small valid config with every optional key present, so each can be fuzzed.
+FUZZ_BASE = triangle_cfg(schedule=[2, 4], tol=1e-6, hullTol=1e-8, deltaStep=0.0, seed=0,
+                         tagRule="mid")
+
+#: Replacement values: wrong types and out-of-range numbers.
+FUZZ_VALUES = ["abc", "", [], [1, 2], {}, None, True, -1, 0, 1.5, -1e300, 1e300]
+
+FUZZ_EXIT_CODES = {0, 2, 3, EXIT_SCHEMA, EXIT_RESOURCE}
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+FUZZ_PATHS = [p for p in _paths(FUZZ_BASE) if p]
+
+
+def _mutate(cfg, path, action):
+    """Drop the key at ``path`` or replace its value."""
+    try:
+        node = functools.reduce(operator.getitem, path[:-1], cfg)
+        if action == "drop":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(FUZZ_VALUES[action])
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation removed or retyped the path
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["integrate", "convexity", "pushforward"]),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(FUZZ_PATHS),
+                  st.sampled_from(["drop", *range(len(FUZZ_VALUES))])),
+        min_size=1, max_size=2),
+)
+def test_fuzzed_config_exits_with_documented_code(tmp_path_factory, command, mutations):
+    cfg = copy.deepcopy(FUZZ_BASE)
+    for path, action in mutations:
+        _mutate(cfg, path, action)
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = [command, "--config", write_json(work, "cfg.json", cfg)]
+    if command == "pushforward":
+        argv += ["--matrix", write_json(work, "p.json", [[1.0, 1.0]])]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in FUZZ_EXIT_CODES, err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -216,3 +216,12 @@ def test_integrate_witness_mode_diverges():
     assert report.verdict.status == "diverged"
     assert report.exit_code == 2
     assert all(r.distance >= 1.0 / 24.0 for r in report.rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_witness_cardinality_counts_distinct_points(m):
+    # the witness row reports what a materialised sum would hold
+    f = Multifunction(l1(3), CounterexampleL1(2, 3), bound_m=1.0, diam_bound=2.0)
+    row = integrate(f, [uniform_partition(m)]).rows[0]
+    assert row.cardinality == len(riemann_sum(f, uniform_partition(m)).base)
+    assert row.cardinality == math.comb(3 + m - 1, m)

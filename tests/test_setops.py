@@ -10,6 +10,7 @@ from setint.errors import InvalidArgumentError
 from setint.setops import (
     DEDUP_TOL,
     PointSet,
+    _canonicalize,
     dist_point_to_hull,
     dist_point_to_set,
     hausdorff,
@@ -310,3 +311,47 @@ def test_distances_equal_reference(space, a, b, _):
 def test_dist_point_to_set_rejects_wrong_shape(x):
     with pytest.raises(InvalidArgumentError):
         dist_point_to_set(x, ps(l2(2), [[0, 0], [2, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# Brute-force reference: the np.unique sort plus the near-duplicate pass that
+# the single lexsort pass replaced.
+
+
+def _ref_canonicalize(points):
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.shape[0] > 1:
+        close = np.abs(np.diff(pts, axis=0)).max(axis=1) <= DEDUP_TOL
+        keep = np.ones(pts.shape[0], dtype=bool)
+        keep[1:] = ~close
+        pts = pts[keep]
+    return pts
+
+
+def _duplicate_heavy_cloud(rng, n, dim):
+    """Rows on a coarse grid (equal leading columns), exact copies, copies
+    moved by 5e-13 or 2e-12 steps (chains of them too) and signed zeros."""
+    base = rng.integers(-2, 3, (n, dim)) / 4.0
+    copies = base[rng.integers(0, n, n)]
+    steps = rng.choice([0.0, 5e-13, -5e-13, 2e-12, -2e-12], size=(n, dim))
+    chain = copies[: n // 4] + np.cumsum(np.full((n // 4, dim), 5e-13), axis=0)
+    pts = np.concatenate([base, copies, copies + steps, chain])
+    zeros = pts == 0.0
+    pts[zeros & (rng.random(pts.shape) < 0.5)] = -0.0
+    return pts[rng.permutation(pts.shape[0])]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_canonicalize_equals_reference(seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 4
+    pts = _duplicate_heavy_cloud(rng, int(rng.integers(1, 80)), dim)
+    got, want = _canonicalize(pts), _ref_canonicalize(pts)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_canonicalize_keeps_first_of_equal_rows_in_input_order():
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0]])
+    assert not np.signbit(_canonicalize(rows)[0, 0])
+    assert np.signbit(_canonicalize(rows[::-1])[0, 0])
