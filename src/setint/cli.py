@@ -221,9 +221,16 @@ def _cmd_balance(args) -> int:
     return 0
 
 
+def _seed(args) -> int:
+    """The --seed of a command that draws random numbers with it."""
+    if args.seed < 0:
+        raise InvalidArgumentError("--seed must be nonnegative")
+    return args.seed
+
+
 def _cmd_infratype(args) -> int:
     space = SpaceDescriptor(args.dim, args.norm)
-    est = bal.estimate_infratype_constant(space, args.p, args.trials, args.nmax, args.seed)
+    est = bal.estimate_infratype_constant(space, args.p, args.trials, args.nmax, _seed(args))
     out = {
         "estimate": est,
         "p": args.p,
@@ -258,7 +265,7 @@ def _cmd_select(args) -> int:
 def _cmd_counterexample(args) -> int:
     if args.family == "hilbert":
         if args.random:
-            t = random_partition(args.partition, seed=args.seed or 0)
+            t = random_partition(args.partition, seed=_seed(args))
         else:
             t = uniform_partition(args.partition, "mid")
         value = cex.hilbert_example_sum_norm(t, distinct_tags=not args.shared_tags)

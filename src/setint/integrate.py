@@ -3,8 +3,9 @@ convexity experiments.
 
 A Riemann sum accumulates scaled values left to right with Minkowski addition,
 pruning after every step with a fixed delta.  Pruning error is additive under
-Minkowski sums (rho_H(A + C, B + C) <= rho_H(A, B)), so the ledger n * delta
-certifies the distance to the exact sum.
+Minkowski sums (rho_H(A + C, B + C) <= rho_H(A, B)), so the ledger
+(number of terms) * delta certifies the distance to the exact sum.  Under hull
+semantics, terms with equal values are one term (see riemann_sum).
 """
 
 from __future__ import annotations
@@ -44,21 +45,30 @@ def riemann_sum(
     delta_step: float = 0.0,
     cap: int = CARDINALITY_CAP,
     transform=None,
+    hull: bool = False,
 ) -> PrunedSet:
     """S(F, T) = Minkowski sum of |interval| * F(tag) with per-step pruning.
 
     ``transform``, if given, maps each value's point array before scaling
-    (used by the pushforward experiment).  The error ledger is n * delta_step.
+    (used by the pushforward experiment).  With ``hull``, terms whose values
+    are equal combine into one, (w_1 + ... + w_k) * A, which leaves the hull
+    of the sum unchanged (sum w_i conv A = (sum w_i) conv A) but not its
+    points; groups keep the order of their first term, and weights add in
+    partition order.  The error ledger is (number of terms) * delta_step.
     """
     if delta_step < 0:
         raise InvalidArgumentError("delta_step must be nonnegative")
-    widths = t.widths
-    acc: PointSet | None = None
-    for w, tag in zip(widths, t.tags):
+    terms: dict = {}
+    for w, tag in zip(t.widths, t.tags):
         val = eval_mf(f, float(tag))
         if transform is not None:
             val = PointSet(transform[1], val.points @ transform[0].T)
-        term = scale(float(w), val)
+        key = val.points.tobytes() if hull else len(terms)
+        weight, _ = terms.get(key, (0.0, val))
+        terms[key] = (weight + float(w), val)
+    acc: PointSet | None = None
+    for weight, val in terms.values():
+        term = scale(weight, val)
         acc = term if acc is None else minkowski(acc, term)
         if delta_step > 0:
             acc = prune(acc, delta_step).base
@@ -67,7 +77,7 @@ def riemann_sum(
                 f"intermediate sum grew to {len(acc)} points (cap {cap}); "
                 "use a larger delta_step"
             )
-    return PrunedSet(acc, len(t) * delta_step)
+    return PrunedSet(acc, len(terms) * delta_step)
 
 
 @dataclass(frozen=True)
@@ -178,7 +188,7 @@ def integrate(
     prev = None
     for t in schedule:
         start = time.perf_counter()
-        s = riemann_sum(f, t, delta_step, cap)
+        s = riemann_sum(f, t, delta_step, cap, hull=hull)
         mid = time.perf_counter()
         if candidate is not None:
             d, err = dist(s.base, candidate), s.err_bound

@@ -3,7 +3,10 @@ oracles with certificates, and error-controlled pruning.
 
 Bounded sets are represented as finite point clouds; the convex hull of a set
 is represented implicitly by the same generators, and every hull query goes
-through a distance oracle (no facet or vertex enumeration anywhere).
+through a distance oracle (no facet or vertex enumeration anywhere).  The l2
+oracle is a min-norm-point iteration; l1 and linf solve a small LP with HiGHS
+(``scipy.optimize.linprog``) and certify it by the dual bound of its
+marginals.
 
 Nearest-neighbour queries (finite Hausdorff distances, the delta-net of
 ``prune`` and the generator fast path of hull queries) go through a k-d tree,
@@ -19,7 +22,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import simplex
 from .errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
 from .spaces import SpaceDescriptor, as_vector, cdist_metric, norms, space_from_json, space_to_json
 
@@ -30,6 +32,11 @@ DEDUP_TOL = 1e-12
 _PAIR_LIMIT = 20_000_000
 
 _CHUNK = 2048
+
+#: Feasibility tolerances of the HiGHS hull LPs.  Its defaults (1e-7) left a
+#: gap above the default tol of 1e-8 on a 6-D l1 query; 1e-10 is the tightest
+#: setting HiGHS takes.
+_HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 #: Minkowski exponent of each norm family, as cKDTree takes it.
 _KDTREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
@@ -158,10 +165,12 @@ def dist_point_to_set(x, a: PointSet) -> float:
 def dist_point_to_hull(space: SpaceDescriptor, x, a: PointSet, tol: float = 1e-8):
     """Distance from x to conv(a), with a certificate.
 
-    Returns (value, gap) with |value - exact| <= gap <= tol.  For the l2 norm a
-    conditional-gradient (Gilbert-style) iteration with away steps and a
-    duality-gap stopping certificate is used; for l1/linf the problem reduces
-    exactly to a small LP solved by the built-in dense simplex (gap = 0).
+    Returns (value, gap) with value - gap <= exact <= value and gap <= tol.
+    For the l2 norm a conditional-gradient (Gilbert-style) iteration with away
+    steps and a duality-gap stopping certificate is used; for l1/linf the
+    problem reduces exactly to a small LP solved by HiGHS, whose dual
+    marginals give the lower bound.  Raises SolverFailureError when the
+    certificate misses tol.
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
@@ -173,7 +182,7 @@ def dist_point_to_hull(space: SpaceDescriptor, x, a: PointSet, tol: float = 1e-8
         return 0.0, 0.0
     if space.norm == "l2":
         return _hull_dist_l2(x, a.points, tol)
-    return _hull_dist_lp(space, x, a.points), 0.0
+    return _hull_dist_lp(space, x, a.points, tol)
 
 
 def _hull_dist_l2(x: np.ndarray, pts: np.ndarray, tol: float, max_iter: int = 10_000):
@@ -235,29 +244,48 @@ def _hull_dist_l2(x: np.ndarray, pts: np.ndarray, tol: float, max_iter: int = 10
     )
 
 
-def _hull_dist_lp(space: SpaceDescriptor, x: np.ndarray, pts: np.ndarray) -> float:
-    """Exact l1/linf hull distance as an LP over hull coefficients lambda and
-    deviation bounds: |x_j - (A^T lambda)_j| <= u_j for l1, <= u for linf."""
+def _hull_dist_lp(space: SpaceDescriptor, x: np.ndarray, pts: np.ndarray, tol: float):
+    """l1/linf hull distance as an LP over hull coefficients lambda and
+    deviation bounds: |(D^T lambda)_j| <= u_j for l1, <= u for linf, where
+    the rows of D are the generators minus x, divided by their largest entry
+    (HiGHS rejects matrix entries above 1e15 and reads bounds of 1e20 as
+    infinite, so the LP must not carry the data's scale).
+
+    The value is the distance to the hull point of the clipped, renormalised
+    lambda (an upper bound); the dual marginals give a dual-norm unit vector
+    w with w.x - max_i w.a_i <= exact, a lower bound.  Their difference is the
+    gap.
+    """
+    # Imported here: loading scipy.optimize costs about 0.1 s, which every
+    # run would otherwise pay at import time.
+    from scipy.optimize import linprog
+
+    diff = pts - x
     g, d = pts.shape
     nvar = g + (d if space.norm == "l1" else 1)
     c = np.zeros(nvar)
     c[g:] = 1.0
     a_ub = np.zeros((2 * d, nvar))
-    a_ub[0::2, :g] = pts.T
-    a_ub[1::2, :g] = -pts.T
+    a_ub[0::2, :g] = diff.T / np.abs(diff).max()
+    a_ub[1::2, :g] = -a_ub[0::2, :g]
     rows = np.arange(2 * d)
     a_ub[rows, g + (rows // 2 if space.norm == "l1" else 0)] = -1.0
-    b_ub = np.empty(2 * d)
-    b_ub[0::2] = x
-    b_ub[1::2] = -x
     a_eq = np.zeros((1, nvar))
     a_eq[0, :g] = 1.0
-    sol, _ = simplex.solve_lp(c, a_ub, b_ub, a_eq, [1.0])
-    y = pts.T @ sol[:g]
-    delta = x - y
-    if space.norm == "l1":
-        return float(np.abs(delta).sum())
-    return float(np.abs(delta).max())
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * d), A_eq=a_eq, b_eq=[1.0],
+                  bounds=(0, None), method="highs", options=_HIGHS_TOLERANCES)
+    if res.status != 0:
+        raise SolverFailureError(f"hull LP failed: {res.message}")
+    lam = np.clip(res.x[:g], 0.0, None)
+    delta = np.abs(diff.T @ (lam / lam.sum()))
+    value = float(delta.sum() if space.norm == "l1" else delta.max())
+    w = res.ineqlin.marginals[0::2] - res.ineqlin.marginals[1::2]
+    w = np.clip(w, -1.0, 1.0) if space.norm == "l1" else w / max(1.0, float(np.abs(w).sum()))
+    proj = diff @ w
+    gap = max(value - max(-float(proj.max()), float(proj.min()), 0.0), 0.0)
+    if gap > tol:
+        raise SolverFailureError("hull LP certificate exceeds tol", value=value, gap=gap)
+    return value, gap
 
 
 def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
@@ -265,22 +293,26 @@ def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
 
     The supremum of the (convex) distance-to-a-hull function over a hull is
     attained at generators, so it suffices to query each generator against the
-    opposite hull.  Generators that already appear in the other cloud are
-    skipped.
+    opposite hull.  A generator's distance to a hull is at most its distance
+    to the nearest generator of that hull, so each generator counts with the
+    smaller of the two.  Generators are visited by decreasing nearest
+    distance, and a side stops once that distance cannot raise the maximum
+    over both sides so far (or the generator appears in the other cloud).
     """
+    if tol <= 0:
+        raise InvalidArgumentError("tol must be positive")
     _check_same_space(a, b)
 
-    def side(target: PointSet, queries: PointSet) -> float:
+    def side(target: PointSet, queries: PointSet, worst: float) -> float:
         near = _min_dists_to(target.points, queries.points, a.space)
-        worst = 0.0
         for i in np.argsort(-near):
-            if near[i] <= DEDUP_TOL:
-                break  # sorted: the rest are generators of the target too
+            if near[i] <= max(worst, DEDUP_TOL):
+                break  # sorted: no later generator is farther than worst
             val, _ = dist_point_to_hull(a.space, queries.points[i], target, tol)
-            worst = max(worst, val)
+            worst = max(worst, min(val, float(near[i])))
         return worst
 
-    return max(side(a, b), side(b, a))
+    return side(b, a, side(a, b, 0.0))
 
 
 def prune(a: PointSet, delta: float) -> PrunedSet:

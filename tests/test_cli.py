@@ -245,6 +245,15 @@ def test_infratype_command(tmp_path, capsys):
     assert out["estimate"] == 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["infratype", "--norm", "l2", "--trials", "5"],
+    ["counterexample", "hilbert", "--random", "--partition", "10"],
+])
+def test_negative_seed_exit_schema(capsys, argv):
+    assert run([*argv, "--seed", "-1"]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_select_command(tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps({

@@ -22,11 +22,13 @@ from setint.partition import (
     CounterexampleL1,
     MovingFinite,
     Multifunction,
+    PiecewiseConstant,
     eval_mf,
     halve_with_tags,
+    random_partition,
     uniform_partition,
 )
-from setint.setops import PointSet, hausdorff, minkowski, scale
+from setint.setops import PointSet, hausdorff, hausdorff_hulls, minkowski, scale
 from setint.spaces import l1, l2
 
 
@@ -66,6 +68,63 @@ def test_riemann_sum_prune_ledger():
     assert s.err_bound == pytest.approx(8e-3)
     exact = riemann_sum(f, t).base
     assert hausdorff(exact, s.base) <= s.err_bound + 1e-12
+
+
+def _hull_bodies():
+    space = l1(2)
+    tri = PointSet(space, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    seg = PointSet(space, np.array([[0.0, 0.0], [1.0, 1.0]]))
+    curves = (np.array([[0.0, 0.0], [1.0, -1.0]]), np.array([[1.0, 0.0], [0.0, 2.0]]))
+    bodies = {
+        "constant": Constant(tri),
+        "piecewise": PiecewiseConstant((0.0, 0.3, 0.7, 1.0), (tri, seg, tri)),
+        "moving": MovingFinite(curves),
+    }
+    return {name: Multifunction(space, ConvexHullOf(Multifunction(space, body, 3.0, 3.0)),
+                                3.0, 3.0)
+            for name, body in bodies.items()}
+
+
+@pytest.mark.parametrize("name", ["constant", "piecewise", "moving"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grouped_hull_sum_has_the_same_hull(name, seed):
+    # sum w_i conv A = (sum w_i) conv A; random partitions give unequal weights
+    f = _hull_bodies()[name]
+    t = random_partition(5, seed=seed)
+    grouped = riemann_sum(f, t, hull=True).base
+    raw = riemann_sum(f, t, hull=False).base
+    assert hausdorff_hulls(grouped, raw) <= 1e-8
+    assert len(grouped) <= len(raw)
+
+
+def test_constant_hull_rows_keep_the_value_generators():
+    f = _hull_bodies()["constant"]
+    tri = eval_mf(f, 0.0)
+    report = integrate(f, [uniform_partition(n) for n in (2, 3, 8, 64)], candidate=tri)
+    assert [r.cardinality for r in report.rows] == [len(tri)] * 4
+    assert [r.distance for r in report.rows] == [0.0] * 4
+
+
+def test_grouped_prune_ledger_counts_groups():
+    # the first and last pieces share their value: two terms at every n
+    f = _hull_bodies()["piecewise"]
+    report = integrate(f, [uniform_partition(n) for n in (4, 16)],
+                       candidate=eval_mf(f, 0.0), delta_step=1e-3)
+    assert [r.prune_error for r in report.rows] == [2e-3, 2e-3]
+
+
+def test_moving_l1_hull_rows_certify_in_dim_24():
+    # hull LPs in l1(24): every row certifies, and a hull distance never
+    # exceeds the finite distance of the same sums
+    rng = np.random.default_rng([1, 10])
+    curves = tuple(rng.uniform(-1, 1, size=(2, 24)) for _ in range(3))
+    inner = Multifunction(l1(24), MovingFinite(curves), 48.0, 96.0)
+    f = Multifunction(l1(24), ConvexHullOf(inner), 48.0, 96.0)
+    schedule = [uniform_partition(n) for n in (1, 2, 3)]
+    report = integrate(f, schedule)
+    sums = [riemann_sum(f, t).base for t in schedule]
+    for row, prev, cur in zip(report.rows[1:], sums, sums[1:]):
+        assert row.distance <= hausdorff(cur, prev)
 
 
 def test_integrate_candidate_converged():

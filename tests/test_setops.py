@@ -155,6 +155,16 @@ def test_hull_dist_l1_linf_exact():
     assert gap == 0.0
 
 
+@pytest.mark.parametrize("space", [l1(2), linf(2)])
+def test_hull_lp_certifies_far_points(space):
+    # coordinates beyond what HiGHS accepts as finite data; the nearest
+    # generators of the far side bound every other query
+    tri = ps(space, [[0, 0], [1, 0], [0, 1]])
+    value, gap = dist_point_to_hull(space, [-1e300, 0], tri)
+    assert (value, gap) == (1e300, 0.0)
+    assert hausdorff_hulls(tri, ps(space, [[-1e300, 0], [1, 0], [0, 1]])) == 1e300
+
+
 def _dense_hull_oracle(space, x, a, grid=40):
     """Brute-force hull distance on <= 3 generators: dense barycentric grid."""
     pts = a.points
@@ -181,11 +191,13 @@ def test_hull_dist_against_dense_oracle(norm_name):
     for _ in range(25):
         a = random_ps(space, int(rng.integers(1, 4)), rng)
         x = 2.0 * rng.standard_normal(2)
-        value, _ = dist_point_to_hull(space, x, a, tol=1e-10)
+        value, gap = dist_point_to_hull(space, x, a, tol=1e-10)
         oracle = _dense_hull_oracle(space, x, a, grid=200)
         # the grid only overestimates the true distance
         assert value <= oracle + 1e-4
         assert value >= oracle - 2e-2
+        assert 0.0 <= gap <= 1e-10
+        assert value - gap <= oracle
 
 
 def test_hausdorff_hulls_known_value():
