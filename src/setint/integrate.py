@@ -4,8 +4,9 @@ convexity experiments.
 A Riemann sum accumulates scaled values left to right with Minkowski addition,
 pruning after every step with a fixed delta.  Pruning error is additive under
 Minkowski sums (rho_H(A + C, B + C) <= rho_H(A, B)), so the ledger
-(number of terms) * delta certifies the distance to the exact sum.  Under hull
-semantics, terms with equal values are one term (see riemann_sum).
+(number of terms) * delta certifies the distance to the exact sum.  Terms
+with equal values are grouped: under hull semantics into one term, and in
+unpruned raw sums into one k-fold Minkowski power (see riemann_sum).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .setops import (
     hausdorff,
     hausdorff_hulls,
     minkowski,
+    minkowski_power,
     prune,
     scale,
 )
@@ -50,11 +52,20 @@ def riemann_sum(
     """S(F, T) = Minkowski sum of |interval| * F(tag) with per-step pruning.
 
     ``transform``, if given, maps each value's point array before scaling
-    (used by the pushforward experiment).  With ``hull``, terms whose values
-    are equal combine into one, (w_1 + ... + w_k) * A, which leaves the hull
-    of the sum unchanged (sum w_i conv A = (sum w_i) conv A) but not its
-    points; groups keep the order of their first term, and weights add in
-    partition order.  The error ledger is (number of terms) * delta_step.
+    (used by the pushforward experiment).  Terms whose values are equal (same
+    canonical bytes) form groups, in order of their first term:
+
+    - With ``hull``, a group is one term (w_1 + ... + w_k) * A, which leaves
+      the hull of the sum unchanged (sum w_i conv A = (sum w_i) conv A) but
+      not its points; weights add in partition order.
+    - Without ``hull`` and without pruning, a group also shares its width w,
+      and its k terms add up to the k-fold Minkowski power of w * A (see
+      setops.minkowski_power), the same point set, built in one step unless
+      the multisets of k generators outnumber ``cap``.
+    - With pruning (``delta_step > 0``) raw terms stay one per interval: a
+      group would be materialised unpruned.
+
+    The error ledger is (number of terms) * delta_step.
     """
     if delta_step < 0:
         raise InvalidArgumentError("delta_step must be nonnegative")
@@ -63,12 +74,18 @@ def riemann_sum(
         val = eval_mf(f, float(tag))
         if transform is not None:
             val = PointSet(transform[1], val.points @ transform[0].T)
-        key = val.points.tobytes() if hull else len(terms)
-        weight, _ = terms.get(key, (0.0, val))
-        terms[key] = (weight + float(w), val)
+        if hull:
+            key = val.points.tobytes()
+        elif delta_step == 0:
+            key = (val.points.tobytes(), float(w))
+        else:
+            key = len(terms)
+        weight, k, _ = terms.get(key, (0.0, 0, val))
+        # hull groups add their widths; raw groups share one width
+        terms[key] = (weight + float(w) if hull else float(w), k + 1, val)
     acc: PointSet | None = None
-    for weight, val in terms.values():
-        term = scale(weight, val)
+    for weight, k, val in terms.values():
+        term = scale(weight, val) if hull else minkowski_power(scale(weight, val), k, cap)
         acc = term if acc is None else minkowski(acc, term)
         if delta_step > 0:
             acc = prune(acc, delta_step).base

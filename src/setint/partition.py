@@ -244,26 +244,68 @@ def eval_mf(f: Multifunction, t: float) -> PointSet:
     raise InvalidArgumentError(f"unknown multifunction body {type(body).__name__}")
 
 
-def _poly_eval(coeffs: np.ndarray, t: float) -> np.ndarray:
-    powers = t ** np.arange(coeffs.shape[0])
+def _poly_eval(coeffs: np.ndarray, t) -> np.ndarray:
+    """The curve at t, or one row per entry when t is an array."""
+    powers = np.power.outer(t, np.arange(coeffs.shape[0]))
     return powers @ coeffs
 
 
 def validate_bounds(f: Multifunction, samples: int = 1000, seed: int = 0) -> None:
-    """Check the declared norm and diameter bounds on sampled t.
+    """Check the declared norm and diameter bounds.
 
     A violation is a configuration error, embodying boundedness as a
-    precondition rather than an inferred property.
+    precondition rather than an inferred property.  Bodies with finitely many
+    values (constant, piecewise constant, the l1 counterexample) are checked
+    exactly, each value once, at the first t that takes it.  Moving bodies
+    are checked on ``samples`` values of t (0, 1 and seeded uniforms), all
+    evaluated in one pass; the first violating sample is reported.
     """
-    rng = np.random.default_rng(seed)
-    ts = np.concatenate(([0.0, 1.0], rng.random(max(samples - 2, 0))))
+    body = f.body
+    while isinstance(body, ConvexHullOf):
+        body = body.inner.body
+    if isinstance(body, MovingFinite):
+        for c in body.curves:
+            if c.shape[1] != f.space.dim:
+                raise InvalidArgumentError(
+                    f"curve of dimension {c.shape[1]} does not match space dimension {f.space.dim}"
+                )
+        rng = np.random.default_rng(seed)
+        ts = np.concatenate(([0.0, 1.0], rng.random(max(samples - 2, 0))))
+        values = [(ts, np.stack([_poly_eval(c, ts) for c in body.curves], axis=1))]
+    elif isinstance(body, PiecewiseConstant):
+        starts = np.clip(body.breaks[:-1], 0.0, 1.0)
+        values = [(np.array([t]), s.points[None]) for t, s in zip(starts, body.sets)]
+    else:
+        values = [(np.array([0.0]), eval_mf(f, 0.0).points[None])]
+    for ts, vals in values:
+        _check_bounds(f, ts, vals)
+
+
+def _check_bounds(f: Multifunction, ts: np.ndarray, vals: np.ndarray) -> None:
+    """Raise for the first t whose value set (a row of vals, shape
+    (len(ts), points, dim)) is not finite or breaks a declared bound."""
     tol = 1e-9
-    for t in ts:
-        val = eval_mf(f, float(t))
-        if norms(f.space, val.points).max() > f.bound_m + tol:
-            raise ConfigError(f"declared norm bound {f.bound_m} violated at t={t}")
-        if len(val) > 1 and val.diameter() > f.diam_bound + tol:
-            raise ConfigError(f"declared diameter bound {f.diam_bound} violated at t={t}")
+    n, k, dim = vals.shape
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    vals = np.where(finite[:, None, None], vals, 0.0)
+    # a norm or distance that overflows to inf is a violation, not a fault
+    with np.errstate(over="ignore"):
+        too_far = norms(f.space, vals.reshape(-1, dim)).reshape(n, k).max(axis=1) > f.bound_m + tol
+        diam = np.zeros(n)
+        for i in range(k - 1):
+            gaps = norms(f.space, (vals[:, i + 1:] - vals[:, i:i + 1]).reshape(-1, dim))
+            diam = np.maximum(diam, gaps.reshape(n, -1).max(axis=1))
+    too_wide = diam > f.diam_bound + tol
+    bad = ~finite | too_far | too_wide
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    t = ts[i]
+    if not finite[i]:
+        raise InvalidArgumentError("point coordinates must be finite")
+    if too_far[i]:
+        raise ConfigError(f"declared norm bound {f.bound_m} violated at t={t}")
+    raise ConfigError(f"declared diameter bound {f.diam_bound} violated at t={t}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ exactly the l1, l2 and linf norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +139,55 @@ def minkowski(a: PointSet, b: PointSet) -> PointSet:
     return PointSet(a.space, sums)
 
 
+def minkowski_power(a: PointSet, k: int, limit: int = _PAIR_LIMIT) -> PointSet:
+    """The k-fold Minkowski sum a + ... + a, for k >= 1, of at most ``limit``
+    points.
+
+    Its points are sum_j c_j a_j over the count vectors c in N^m with
+    c_1 + ... + c_m = k, one per multiset of k generators.  When there are at
+    most ``limit`` multisets, C(k + m - 1, k), they are enumerated and
+    canonicalised once, where k - 1 pairwise sums would each sort up to m
+    times as many rows as they keep: one generator at a time, every partial
+    sum spawns one child per count its remaining budget allows, and the last
+    generator takes what is left.
+
+    Otherwise sums may still coincide (the generators of {0, 1}^3 have
+    C(k + 7, 7) multisets but (k + 1)^3 sums), so the power is folded one
+    pairwise sum at a time, and work and memory follow the distinct sums.
+    Before folding, r + 1 affinely independent generators (r the rank of
+    a - a_0) give a lower bound C(k + r, r) on the points; above ``limit``,
+    or once a partial power exceeds it, ResourceLimitError is raised.
+    """
+    if k < 1:
+        raise InvalidArgumentError("k must be a positive integer")
+    if k == 1:
+        return a
+    if math.comb(k + len(a) - 1, k) <= limit:
+        sums = np.zeros((1, a.space.dim))
+        left = np.array([k])
+        for gen in a.points[:-1]:
+            reps = left + 1
+            counts = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            sums = np.repeat(sums, reps, axis=0) + counts[:, None] * gen
+            left = np.repeat(left, reps) - counts
+        return PointSet(a.space, sums + left[:, None] * a.points[-1])
+    rank = int(np.linalg.matrix_rank(a.points - a.points[0], tol=DEDUP_TOL))
+    if math.comb(k + rank, rank) > limit:
+        raise ResourceLimitError(
+            f"{k}-fold Minkowski power has at least {math.comb(k + rank, rank)} points "
+            f"(limit {limit}); prune the operand first"
+        )
+    acc = a
+    for j in range(2, k + 1):
+        acc = minkowski(acc, a)
+        if len(acc) > limit:
+            raise ResourceLimitError(
+                f"{j}-fold Minkowski power grew to {len(acc)} points (limit {limit}); "
+                "prune the operand first"
+            )
+    return acc
+
+
 def _min_dists_to(a_pts: np.ndarray, b_pts: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
     """For each row of b_pts, the distance to the nearest row of a_pts."""
     return cKDTree(a_pts).query(b_pts, p=_KDTREE_P[space.norm])[0]
@@ -153,9 +203,19 @@ def hausdorff(a: PointSet, b: PointSet) -> float:
     return max(one_sided_hausdorff(a, b), one_sided_hausdorff(b, a))
 
 
+def _pow2_unit(p: np.ndarray) -> float:
+    """The largest power of two not above max |p_ij|.  Dividing by it is
+    exact and brings the entries into (-2, 2), so l2 squares neither overflow
+    nor underflow."""
+    return float(np.ldexp(1.0, np.frexp(np.abs(p).max())[1] - 1))
+
+
 def dist_point_to_set(x, a: PointSet) -> float:
     x = as_vector(a.space, x)
-    return float(norms(a.space, a.points - x).min())
+    diff = a.points - x
+    # scaled by one exact power of two, so in range the value is unchanged
+    unit = _pow2_unit(diff)
+    return unit * float(norms(a.space, diff / unit).min())
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +253,33 @@ def _hull_dist_l2(x: np.ndarray, pts: np.ndarray, tol: float, max_iter: int = 10
     negative; on a quadratic this terminates after finitely many corral
     changes.  The gap g = <y, y - p_s> bounds f(y) - f* for f = 1/2 ||.||^2,
     hence value - exact <= 2 g / value; that quotient is the certificate.
+
+    The iteration runs on p / unit (see _pow2_unit), and the value and the
+    certificate are scaled back by the same exact factor.
     """
     p = pts - x
+    unit = _pow2_unit(p)
+    p = p / unit
     start = int(np.argmin((p * p).sum(axis=1)))
     idx = [start]
     w = np.array([1.0])
     value = cert = None
     for _ in range(max_iter):
         y = w @ p[idx]
-        value = float(np.linalg.norm(y))
+        norm = float(np.linalg.norm(y))
         scores = p @ y
         s_idx = int(np.argmin(scores))
         gap = float(y @ y - scores[s_idx])
-        cert = min(value, 2.0 * gap / value) if value > 0 else 0.0
+        value = unit * norm
+        cert = unit * min(norm, 2.0 * gap / norm) if norm > 0 else 0.0
         if value <= 1e-14 or cert <= tol:
             return max(value, 0.0), max(cert, 0.0)
         if s_idx in idx:
-            # numerically stationary corral; the certificate stays honest
-            return value, max(cert, 0.0)
+            raise SolverFailureError(
+                "hull-distance iteration stalled on a corral above tol",
+                value=value,
+                gap=cert,
+            )
         idx.append(s_idx)
         w = np.append(w, 0.0)
         while True:

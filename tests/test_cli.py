@@ -132,6 +132,19 @@ def test_bound_violation_exit_schema(tmp_path, capsys, command):
     assert "declared norm bound" in capsys.readouterr().err
 
 
+def test_bound_violation_on_a_narrow_piece_exit_schema(tmp_path, capsys):
+    # 100 sampled t would almost surely miss [0.5, 0.5001); each piece is
+    # checked once instead
+    tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    cfg = triangle_with_inner_body({
+        "kind": "piecewise_constant",
+        "breaks": [0.0, 0.5, 0.5001, 1.0],
+        "sets": [tri, [[5.0, 0.0], [0.0, 0.0]], tri],
+    })
+    assert run(["integrate", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
+    assert "declared norm bound 1.0 violated at t=0.5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("convexity", ["--csv", "rows.csv"]),
     ("convexity", ["--timings"]),

@@ -1,10 +1,13 @@
+import functools
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from setint.errors import InvalidArgumentError
+from setint.errors import InvalidArgumentError, ResourceLimitError
 from setint.integrate import (
     ConvergenceReport,
     convexity_check,
@@ -29,7 +32,7 @@ from setint.partition import (
     uniform_partition,
 )
 from setint.setops import PointSet, hausdorff, hausdorff_hulls, minkowski, scale
-from setint.spaces import l1, l2
+from setint.spaces import l1, l2, linf
 
 
 def segment_mf(space=None):
@@ -68,6 +71,52 @@ def test_riemann_sum_prune_ledger():
     assert s.err_bound == pytest.approx(8e-3)
     exact = riemann_sum(f, t).base
     assert hausdorff(exact, s.base) <= s.err_bound + 1e-12
+
+
+@pytest.mark.parametrize("space", [l1(2), l2(2), linf(2)])
+@pytest.mark.parametrize("t", [uniform_partition(8), random_partition(8, seed=3)],
+                         ids=["uniform", "random"])
+def test_raw_grouped_sum_equals_ungrouped_sum(space, t):
+    # the first and last pieces share their value, so on the uniform grid its
+    # group spans intervals that are not adjacent; random widths differ, so
+    # equal values must not group there
+    rng = np.random.default_rng(5)
+    a, b = (PointSet(space, rng.uniform(-1.0, 1.0, (4, 2))) for _ in range(2))
+    f = Multifunction(space, PiecewiseConstant((0.0, 0.3, 0.7, 1.0), (a, b, a)), 3.0, 3.0)
+    terms = [scale(w, eval_mf(f, float(tag))) for w, tag in zip(t.widths, t.tags)]
+    s = riemann_sum(f, t)
+    assert s.err_bound == 0.0
+    assert hausdorff(s.base, functools.reduce(minkowski, terms)) <= 1e-12
+
+
+def test_raw_sum_of_a_large_group_fails_before_allocating():
+    # C(1029, 5), about 1e13 multisets, and three affinely independent
+    # points give at least C(1026, 2) > cap sums: refused before enumerating
+    space = l2(2)
+    pts = PointSet(space, np.random.default_rng(0).uniform(-1.0, 1.0, (6, 2)))
+    f = Multifunction(space, Constant(pts), 2.0, 3.0)
+    t = uniform_partition(2 ** 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="at least"):
+            riemann_sum(f, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_raw_sum_of_a_degenerate_group_matches_the_folded_chain():
+    # {0, 1}^3 at n = 34: C(41, 7) ~ 2.2e7 multisets, far above the cap, but
+    # only 35^3 = 42,875 distinct sums, which the folded chain also keeps
+    space = l2(3)
+    cube = PointSet(space, np.array(list(itertools.product([0.0, 1.0], repeat=3))))
+    f = Multifunction(space, Constant(cube), 2.0, 2.0)
+    t = uniform_partition(34)
+    s = riemann_sum(f, t)
+    term = scale(t.widths[0], cube)
+    assert s.base.same_set(functools.reduce(minkowski, [term] * 34))
+    assert len(s.base) == 35 ** 3
 
 
 def _hull_bodies():

@@ -23,7 +23,7 @@ from setint.partition import (
     validate_bounds,
 )
 from setint.setops import PointSet
-from setint.spaces import l1, l2
+from setint.spaces import l1, l2, linf, norms
 
 
 def test_uniform_partition_basic():
@@ -136,6 +136,50 @@ def test_validate_bounds_accepts_good():
     pts = PointSet(space, np.array([[0.5, 0.0], [0.0, 0.5]]))
     f = Multifunction(space, Constant(pts), bound_m=1.0, diam_bound=1.0)
     validate_bounds(f)
+
+
+def _validate_bounds_per_t(f, samples, seed):
+    """Reference: the loop over sampled t that validate_bounds replaced."""
+    rng = np.random.default_rng(seed)
+    for t in np.concatenate(([0.0, 1.0], rng.random(max(samples - 2, 0)))):
+        val = eval_mf(f, float(t))
+        if norms(f.space, val.points).max() > f.bound_m + 1e-9:
+            raise ConfigError(f"declared norm bound {f.bound_m} violated at t={t}")
+        if len(val) > 1 and val.diameter() > f.diam_bound + 1e-9:
+            raise ConfigError(f"declared diameter bound {f.diam_bound} violated at t={t}")
+
+
+@pytest.mark.parametrize("space", [l1(3), l2(3), linf(3)])
+def test_validate_bounds_moving_matches_per_t_loop(space):
+    rng = np.random.default_rng(17)
+    outcomes = []
+    for seed in range(60):
+        curves = tuple(rng.standard_normal((int(rng.integers(1, 4)), 3))
+                       for _ in range(int(rng.integers(1, 5))))
+        bound_m, diam = rng.uniform(0.8, 4.0, 2)
+        f = Multifunction(space, MovingFinite(curves), bound_m, diam)
+        results = []
+        for check in (validate_bounds, _validate_bounds_per_t):
+            try:
+                check(f, samples=100, seed=seed)
+                results.append(None)
+            except ConfigError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        outcomes.append(results[0] is None)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_validate_bounds_checks_every_piece_and_moving_curve_dims():
+    space = l2(2)
+    ok = PointSet(space, np.array([[0.0, 0.0], [0.5, 0.0]]))
+    far = PointSet(space, np.array([[0.0, 0.0], [0.0, 0.9]]))
+    f = Multifunction(space, PiecewiseConstant((0.0, 0.5, 0.5001, 1.0), (ok, far, ok)), 1.0, 0.6)
+    with pytest.raises(ConfigError, match="diameter bound 0.6 violated at t=0.5"):
+        validate_bounds(f, samples=100)
+    g = Multifunction(space, MovingFinite((np.zeros((2, 3)),)), 1.0, 1.0)
+    with pytest.raises(InvalidArgumentError, match="dimension"):
+        validate_bounds(g)
 
 
 def _roundtrip_bodies():

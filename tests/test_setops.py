@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from setint.errors import InvalidArgumentError
+from setint.errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
 from setint.setops import (
     DEDUP_TOL,
     PointSet,
     _canonicalize,
+    _hull_dist_l2,
     dist_point_to_hull,
     dist_point_to_set,
     hausdorff,
     hausdorff_hulls,
     minkowski,
+    minkowski_power,
     one_sided_hausdorff,
     pointset_from_json,
     pointset_to_json,
@@ -163,6 +166,30 @@ def test_hull_lp_certifies_far_points(space):
     value, gap = dist_point_to_hull(space, [-1e300, 0], tri)
     assert (value, gap) == (1e300, 0.0)
     assert hausdorff_hulls(tri, ps(space, [[-1e300, 0], [1, 0], [0, 1]])) == 1e300
+
+
+@pytest.mark.parametrize("x, exact", [([-1e160, 0.0], 1e160), ([1e300, -1e300], SQ2 * 1e300)])
+def test_hull_l2_far_points_stay_finite(x, exact):
+    # squares of the unscaled data overflow here; the distances run on data
+    # divided by a power of two
+    space = l2(2)
+    tri = ps(space, [[0, 0], [1, 0], [0, 1]])
+    assert dist_point_to_set(x, tri) == pytest.approx(exact, rel=1e-15)
+    value, gap = dist_point_to_hull(space, x, tri)
+    assert value == pytest.approx(exact, rel=1e-15)
+    assert gap == 0.0
+    assert hausdorff_hulls(tri, ps(space, [x, [1, 0], [0, 1]])) == pytest.approx(exact, rel=1e-15)
+
+
+def test_hull_l2_stalled_corral_raises():
+    # At the optimum the duality gap is rounding noise (about 1e-15), so a
+    # tol below it stalls on the optimal corral, which must not pass for a
+    # certified answer.
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(SolverFailureError, match="stalled") as info:
+        _hull_dist_l2(np.array([1.0, 1.0]), tri, tol=1e-300)
+    assert info.value.value == pytest.approx(SQ2 / 2, rel=1e-12)
+    assert 1e-300 < info.value.gap <= 1e-12
 
 
 def _dense_hull_oracle(space, x, a, grid=40):
@@ -367,3 +394,52 @@ def test_canonicalize_keeps_first_of_equal_rows_in_input_order():
     rows = np.array([[0.0, 1.0], [-0.0, 1.0]])
     assert not np.signbit(_canonicalize(rows)[0, 0])
     assert np.signbit(_canonicalize(rows[::-1])[0, 0])
+
+
+@pytest.mark.parametrize("space", [l1(2), l2(2), linf(2)])
+def test_minkowski_power_equals_folded_sum(space):
+    rng = np.random.default_rng(11)
+    for m in range(1, 7):
+        a = random_ps(space, m, rng)
+        folded = a
+        for k in range(1, 17):
+            power = minkowski_power(a, k)
+            assert len(power) == math.comb(k + m - 1, k)
+            assert hausdorff(power, folded) <= 1e-12
+            folded = minkowski(folded, a)
+
+
+def test_minkowski_power_merges_coincident_sums():
+    seg = ps(l1(1), [[0], [1], [2]])
+    assert minkowski_power(seg, 4).same_set(ps(l1(1), [[i] for i in range(9)]))
+
+
+def test_minkowski_power_rejects_large_or_empty_powers():
+    # six generic points in 3-D: at least C(1027, 3) > 1.7e8 points
+    a = random_ps(l2(3), 6, np.random.default_rng(2))
+    with pytest.raises(ResourceLimitError, match="at least"):
+        minkowski_power(a, 2 ** 10)
+    with pytest.raises(InvalidArgumentError):
+        minkowski_power(a, 0)
+
+
+CUBE = [list(c) for c in itertools.product([0.0, 1.0], repeat=3)]
+
+
+@pytest.mark.parametrize("gens, k, side", [
+    (CUBE, 40, 41),  # C(47, 7) ~ 6.3e7 multisets, 41^3 sums
+    ([[0.0], [1.0], [2.0]], 2 ** 13, 2 ** 14 + 1),  # C(8194, 2) ~ 3.4e7 multisets
+])
+def test_minkowski_power_of_coincident_sums_follows_the_sums(gens, k, side):
+    # more multisets than the pair limit, so the power is folded; its sums
+    # are the integer grid, which the folded chain builds exactly
+    a = ps(l1(len(gens[0])), gens)
+    grid = np.array(list(itertools.product(np.arange(float(side)), repeat=a.space.dim)))
+    assert minkowski_power(a, k).same_set(ps(a.space, grid))
+
+
+def test_minkowski_power_stops_once_the_sums_pass_the_limit():
+    a = ps(l1(3), CUBE)
+    assert len(minkowski_power(a, 9, limit=1000)) == 1000
+    with pytest.raises(ResourceLimitError, match="10-fold .* grew to 1331"):
+        minkowski_power(a, 10, limit=1000)
