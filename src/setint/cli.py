@@ -7,14 +7,17 @@ ms column is zero unless --timings is given, which is documented to break
 byte-identity).
 
 Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
-1 when a solver fails to certify; 64 on schema or argument violations; 70 on
-resource limits.
+1 when a solver fails to certify; 64 on schema or argument violations (a
+non-finite tol, hull tolerance or pruning radius among them); 70 on resource
+limits.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -113,12 +116,17 @@ _SETTINGS = {"tol": ("tol", 1e-6), "prune_delta": ("deltaStep", 0.0), "hull_tol"
 
 
 def _setting(args, cfg: dict, attr: str) -> float:
-    """The command-line value if given, else the config key, else the default."""
-    if getattr(args, attr) is not None:
-        return getattr(args, attr)
+    """The command-line value if given, else the config key, else the default;
+    it must be finite."""
     key, default = _SETTINGS[attr]
-    with schema_faults(f'config key "{key}"'):
-        return float(cfg.get(key, default))
+    if getattr(args, attr) is not None:
+        value, name = getattr(args, attr), "--" + attr.replace("_", "-")
+    else:
+        with schema_faults(f'config key "{key}"'):
+            value, name = float(cfg.get(key, default)), f'config key "{key}"'
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _load_problem(args):
@@ -295,6 +303,7 @@ def _cmd_counterexample(args) -> int:
     return 2 if out["verdict"] == "diverged" else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="setint", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -67,8 +67,8 @@ def riemann_sum(
 
     The error ledger is (number of terms) * delta_step.
     """
-    if delta_step < 0:
-        raise InvalidArgumentError("delta_step must be nonnegative")
+    if not 0 <= delta_step < math.inf:
+        raise InvalidArgumentError("delta_step must be finite and nonnegative")
     terms: dict = {}
     for w, tag in zip(t.widths, t.tags):
         val = eval_mf(f, float(tag))

@@ -232,7 +232,7 @@ def dist_point_to_hull(space: SpaceDescriptor, x, a: PointSet, tol: float = 1e-8
     marginals give the lower bound.  Raises SolverFailureError when the
     certificate misses tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidArgumentError("tol must be positive")
     if a.space != space:
         raise InvalidArgumentError("generator set does not live in the given space")
@@ -368,7 +368,7 @@ def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
     distance, and a side stops once that distance cannot raise the maximum
     over both sides so far (or the generator appears in the other cloud).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidArgumentError("tol must be positive")
     _check_same_space(a, b)
 
@@ -384,6 +384,50 @@ def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
     return side(b, a, side(a, b, 0.0))
 
 
+def _net_by_pairs(tree: cKDTree, delta: float, p: float) -> np.ndarray:
+    """Mask of the greedy net's rows, from one enumeration of the pairs
+    i < j within delta, grouped into forward neighbour lists."""
+    n = tree.n
+    pairs = tree.query_pairs(delta, p=p, output_type="ndarray")
+    first = pairs[:, 0]
+    later = pairs[np.argsort(first, kind="stable"), 1]
+    counts = np.bincount(first, minlength=n)
+    ends = np.cumsum(counts)
+    rows = np.flatnonzero(counts)
+    covered = np.zeros(n, dtype=bool)
+    # a row is covered only by earlier kept rows, so it is final when reached
+    for i, start, end in zip(rows.tolist(), (ends - counts)[rows].tolist(), ends[rows].tolist()):
+        if not covered[i]:
+            covered[later[start:end]] = True
+    return ~covered
+
+
+def _net_by_balls(tree: cKDTree, delta: float, p: float) -> np.ndarray:
+    """Mask of the greedy net's rows, from one delta-ball query per kept row."""
+    covered = np.zeros(tree.n, dtype=bool)
+    kept = np.zeros(tree.n, dtype=bool)
+    for i in range(tree.n):
+        if not covered[i]:
+            kept[i] = True
+            covered[tree.query_ball_point(tree.data[i], delta, p=p)] = True
+    return kept
+
+
+#: prune samples the delta-balls of every k-th row in canonical order, with k
+#: such that at most _BALL_SAMPLE rows, and at most one row in _BALL_STRIDE,
+#: are sampled: a query costs about a microsecond per row, a large share of
+#: the pair walk on a cloud of a few hundred points.
+_BALL_SAMPLE = 64
+_BALL_STRIDE = 16
+
+#: Mean delta-ball size (the row included) of the sample above which prune
+#: walks ball by ball.  On uniform clouds of 5,000 and 40,000 points in 2-D
+#: and 3-D, l1/l2/linf, the ball walk took a median 1.35x the pair walk's
+#: time at a mean of 13, 1.24x at 16, 1.09x at 19 and 0.83x at 22; past the
+#: crossover the pair list grows with the mean, so the bound stays below it.
+_PAIR_WALK_MAX_BALL = 16
+
+
 def prune(a: PointSet, delta: float) -> PrunedSet:
     """Greedy delta-net over the canonical point order.
 
@@ -391,21 +435,30 @@ def prune(a: PointSet, delta: float) -> PrunedSet:
     earlier kept point.  The walk keeps each point not yet covered and marks
     its closed delta-ball as covered, so every dropped point is within delta
     of the result and the Hausdorff error is certified by delta.
+
+    The net is the lexicographically first maximal independent set of the
+    graph joining points within delta.  On sparse clouds one k-d tree
+    enumeration of those pairs gives each point's later neighbours, and the
+    walk marks them.  Where the sampled delta-balls hold more than
+    _PAIR_WALK_MAX_BALL points on average, the pair list would outgrow the
+    walk, and each kept point queries its own ball instead.  Both walks use
+    the same closed ball and the same cKDTree distance, and keep the same
+    points.
     """
-    if delta < 0:
-        raise InvalidArgumentError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise InvalidArgumentError("delta must be finite and nonnegative")
     if delta == 0 or len(a) == 1:
         return PrunedSet(a, float(delta))
     pts = a.points
     tree = cKDTree(pts)
     p = _KDTREE_P[a.space.norm]
-    covered = np.zeros(pts.shape[0], dtype=bool)
-    kept = []
-    for i in range(pts.shape[0]):
-        if not covered[i]:
-            kept.append(i)
-            covered[tree.query_ball_point(pts[i], delta, p=p)] = True
-    return PrunedSet(PointSet(a.space, pts[kept]), float(delta))
+    walk = _net_by_pairs
+    if len(pts) > _PAIR_WALK_MAX_BALL:  # a smaller cloud's balls cannot hold more
+        sample = pts[::max(_BALL_STRIDE, math.ceil(len(pts) / _BALL_SAMPLE))]
+        balls = tree.query_ball_point(sample, delta, p=p, return_length=True)
+        if balls.sum() > _PAIR_WALK_MAX_BALL * len(sample):
+            walk = _net_by_balls
+    return PrunedSet(PointSet(a.space, pts[walk(tree, delta, p)]), float(delta))
 
 
 def pointset_to_json(a: PointSet) -> dict:

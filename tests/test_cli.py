@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, parse_schedule, run
+from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, build_parser, parse_schedule, run
 from setint.errors import InvalidArgumentError
 
 
@@ -211,6 +211,44 @@ def test_convexity_resolves_tol_like_integrate(tmp_path, monkeypatch, flags, ove
     monkeypatch.setattr("setint.cli.convexity_defect", lambda limit, hull_tol: (0.0, 1e-7))
     cfg = triangle_config(tmp_path, **overrides)
     assert run(["convexity", "--config", cfg, *flags]) == code
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag, key", [
+    ("--tol", "tol"), ("--hull-tol", "hullTol"), ("--prune-delta", "deltaStep"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_setting_exit_schema(tmp_path, capsys, source, flag, key, value):
+    if source == "flag":
+        argv = ["--config", triangle_config(tmp_path), f"{flag}={value}"]  # "-inf" reads as a flag
+    else:
+        argv = ["--config", triangle_config(tmp_path, **{key: float(value)})]
+    assert run(["integrate", *argv]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and (flag if source == "flag" else f'"{key}"') in err
+
+
+def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
+    cfg = triangle_config(tmp_path)
+    calls = [
+        ["integrate", "--config", cfg, "--tol", "0"],
+        ["convexity", "--config", cfg],
+        ["integrate", "--config", cfg],
+        ["counterexample", "hilbert", "--partition", "8"],
+    ]
+
+    def outputs(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            out.append((run(argv), capsys.readouterr().out))
+        return out
+
+    in_one_process = outputs(fresh=False)
+    assert build_parser() is build_parser()
+    assert in_one_process == outputs(fresh=True)
+    assert [code for code, _ in in_one_process] == [3, 0, 0, 0]
 
 
 def test_pushforward_command(tmp_path, capsys):

@@ -1,18 +1,24 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from setint.errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
+from setint.partition import Multifunction, MovingFinite, eval_mf, uniform_partition
 from setint.setops import (
     DEDUP_TOL,
+    _KDTREE_P,
     PointSet,
     _canonicalize,
     _hull_dist_l2,
+    _net_by_balls,
+    _net_by_pairs,
     dist_point_to_hull,
     dist_point_to_set,
     hausdorff,
@@ -307,9 +313,31 @@ def _ref_prune_points(a, delta):
     return np.asarray(kept)
 
 
+def _moving_sum_cloud(space, delta, curves=5, n=10):
+    """The cloud the last pruning step of a pruned Riemann sum receives:
+    linear curves from a circle of radius 0.8 at a third of its speed,
+    uniform_partition(n), one term per interval, and every earlier step
+    pruned by the reference rule, as riemann_sum builds it."""
+    angles = 2 * np.pi * np.arange(curves) / curves + 0.3
+    start = 0.8 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    speed = 0.24 * np.roll(start, 1, axis=0)
+    f = Multifunction(space, MovingFinite(tuple(np.stack([s, v]) for s, v in zip(start, speed))),
+                      2.0, 4.0)
+    t = uniform_partition(n)
+    acc = None
+    for w, tag in zip(t.widths, t.tags):
+        term = scale(float(w), eval_mf(f, float(tag)))
+        cloud = term if acc is None else minkowski(acc, term)
+        acc = PointSet(space, _ref_prune_points(cloud, delta))
+    return cloud
+
+
 def _reference_clouds():
-    """(space, cloud, other cloud, delta): random clouds, and dyadic grids with
-    delta a multiple of 1/16, where distances tie with delta exactly."""
+    """(space, cloud, other cloud, delta): random clouds, dyadic grids with
+    delta a multiple of 1/16, where distances tie with delta exactly, and the
+    edges of prune's two walks: delta below every spacing (no pairs, every
+    row kept), delta at or above the diameter (one row kept), uniform clouds
+    with small and large delta-balls, and the cloud of a pruned sum."""
     rng = np.random.default_rng(2024)
     for make in (l1, l2, linf):
         for dim, n, delta in ((2, 400, 0.1), (3, 600, 0.3)):
@@ -324,6 +352,25 @@ def _reference_clouds():
             for m in (1, 2, 3):
                 yield pytest.param(space, grid, shifted, m / 16.0,
                                    id=f"{space.norm}-grid-{dim}d-delta{m}/16")
+            # the grid spans 1 per axis: its diameter is 1 in linf, sqrt(dim) in
+            # l2 and dim in l1
+            diameter = {"l1": float(dim), "l2": math.sqrt(dim), "linf": 1.0}[space.norm]
+            for delta, tag in ((diameter, "diameter"), (2 * diameter, "above-diameter")):
+                yield pytest.param(space, grid, shifted, delta, id=f"{space.norm}-grid-{dim}d-{tag}")
+        space = make(2)
+        yield pytest.param(space, random_ps(space, 300, rng), random_ps(space, 50, rng), 1e-9,
+                           id=f"{space.norm}-below-spacing")
+        for tag, delta in SPARSE_AND_DENSE:
+            cloud = PointSet(space, rng.random((2000, 2)))
+            yield pytest.param(space, cloud, random_ps(space, 50, rng), delta,
+                               id=f"{space.norm}-uniform-{tag}")
+        yield pytest.param(space, _moving_sum_cloud(space, 0.05), random_ps(space, 50, rng), 0.05,
+                           id=f"{space.norm}-moving-sum")
+
+
+#: (cloud, delta) on 2,000 uniform points in [0, 1]^2: mean delta-balls of
+#: 2.6-4.1 points (the pair walk) and 39-74 (the ball walk) in l1, l2, linf.
+SPARSE_AND_DENSE = (("sparse", 0.02), ("dense", 0.1))
 
 
 REFERENCE_CASES = list(_reference_clouds())
@@ -332,6 +379,43 @@ REFERENCE_CASES = list(_reference_clouds())
 @pytest.mark.parametrize("space, a, _, delta", REFERENCE_CASES)
 def test_prune_keeps_reference_points(space, a, _, delta):
     assert np.array_equal(prune(a, delta).base.points, _ref_prune_points(a, delta))
+
+
+@pytest.mark.parametrize("space, a, _, delta", REFERENCE_CASES)
+@pytest.mark.parametrize("walk", [_net_by_pairs, _net_by_balls])
+def test_both_walks_keep_reference_points(walk, space, a, _, delta):
+    kept = walk(cKDTree(a.points), delta, _KDTREE_P[space.norm])
+    assert np.array_equal(a.points[kept], _ref_prune_points(a, delta))
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+@pytest.mark.parametrize("tag, delta", SPARSE_AND_DENSE)
+def test_prune_walks_pairs_on_sparse_and_balls_on_dense_clouds(monkeypatch, make, tag, delta):
+    taken = []
+    for walk in (_net_by_pairs, _net_by_balls):
+        monkeypatch.setattr(f"setint.setops.{walk.__name__}",
+                            lambda *args, walk=walk: taken.append(walk) or walk(*args))
+    prune(PointSet(make(2), np.random.default_rng(5).random((2000, 2))), delta)
+    assert taken == [_net_by_pairs if tag == "sparse" else _net_by_balls]
+
+
+def test_prune_of_a_dense_cloud_does_not_enumerate_its_pairs():
+    # 17.6 million pairs lie within delta: 268 MiB as an index array
+    a = PointSet(l2(2), np.random.default_rng(6).random((6000, 2)))
+    tracemalloc.start()
+    try:
+        kept = prune(a, 1.0).base.points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.array_equal(kept, _ref_prune_points(a, 1.0))
+
+
+@pytest.mark.parametrize("delta", [-1.0, math.inf, math.nan])
+def test_prune_rejects_negative_or_non_finite_delta(delta):
+    with pytest.raises(InvalidArgumentError):
+        prune(ps(l2(2), [[0, 0], [1, 0]]), delta)
 
 
 @pytest.mark.parametrize("space, a, b, _", REFERENCE_CASES)
