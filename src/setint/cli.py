@@ -8,8 +8,8 @@ byte-identity).
 
 Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
 1 when a solver fails to certify; 64 on schema or argument violations (a
-non-finite tol, hull tolerance or pruning radius among them); 70 on resource
-limits.
+non-finite or negative tol, hull tolerance or pruning radius among them); 70
+on resource limits.
 """
 
 from __future__ import annotations
@@ -117,15 +117,15 @@ _SETTINGS = {"tol": ("tol", 1e-6), "prune_delta": ("deltaStep", 0.0), "hull_tol"
 
 def _setting(args, cfg: dict, attr: str) -> float:
     """The command-line value if given, else the config key, else the default;
-    it must be finite."""
+    it must be finite and nonnegative."""
     key, default = _SETTINGS[attr]
     if getattr(args, attr) is not None:
         value, name = getattr(args, attr), "--" + attr.replace("_", "-")
     else:
         with schema_faults(f'config key "{key}"'):
             value, name = float(cfg.get(key, default)), f'config key "{key}"'
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"{name} must be finite, got {value}")
+    if not 0 <= value < math.inf:
+        raise InvalidArgumentError(f"{name} must be finite and nonnegative, got {value}")
     return value
 
 

@@ -26,6 +26,10 @@ TAG_RULES = ("left", "right", "mid", "random")
 class TaggedPartition:
     breakpoints: np.ndarray = field(repr=False)
     tags: np.ndarray = field(repr=False)
+    #: Interval lengths, computed once.  On the uniform grid each is the
+    #: correctly rounded 1/n: differences of its rounded breakpoints are off
+    #: by an ulp, and unequal widths would split equal points of a Riemann sum.
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -40,20 +44,11 @@ class TaggedPartition:
             raise InvalidArgumentError("need exactly one tag per interval")
         if np.any(tg < bp[:-1] - _TEL_TOL) or np.any(tg > bp[1:] + _TEL_TOL):
             raise InvalidArgumentError("each tag must lie inside its interval")
-        bp.setflags(write=False)
-        tg.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "tags", tg)
-
-    @property
-    def widths(self) -> np.ndarray:
-        """Interval lengths.  On the uniform grid each is the correctly rounded
-        1/n: differences of its rounded breakpoints are off by an ulp, and
-        unequal widths would split equal points of a Riemann sum."""
-        n = len(self)
-        if np.array_equal(self.breakpoints, _uniform_breakpoints(n)):
-            return np.full(n, 1.0 / n)
-        return np.diff(self.breakpoints)
+        n = tg.shape[0]
+        widths = np.full(n, 1.0 / n) if np.array_equal(bp, _uniform_breakpoints(n)) else np.diff(bp)
+        for name, arr in (("breakpoints", bp), ("tags", tg), ("widths", widths)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def mesh(self) -> float:

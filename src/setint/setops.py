@@ -11,7 +11,11 @@ marginals.
 Nearest-neighbour queries (finite Hausdorff distances, the delta-net of
 ``prune`` and the generator fast path of hull queries) go through a k-d tree,
 ``scipy.spatial.cKDTree``, whose Minkowski exponents p = 1, 2 and infinity are
-exactly the l1, l2 and linf norms.
+exactly the l1, l2 and linf norms.  A finite Hausdorff distance queries the
+larger cloud against a tree of the smaller one.  Each answer also bounds its
+nearest smaller point's distance to the larger cloud by the maximum so far,
+so only the smaller points that are no larger point's nearest query a tree
+of the larger cloud.
 """
 
 from __future__ import annotations
@@ -53,7 +57,12 @@ def _canonicalize(points: np.ndarray) -> np.ndarray:
     (0.0 and -0.0, say) the first in input order is kept.
     """
     pts = np.asarray(points, dtype=float)
-    pts = pts[np.lexsort(pts.T[::-1])]
+    return _drop_near_duplicates(pts[np.lexsort(pts.T[::-1])])
+
+
+def _drop_near_duplicates(pts: np.ndarray) -> np.ndarray:
+    """The rows of a lexicographically sorted array that differ from their
+    predecessor by more than DEDUP_TOL in some coordinate (a new array)."""
     keep = np.ones(pts.shape[0], dtype=bool)
     keep[1:] = np.abs(np.diff(pts, axis=0)).max(axis=1) > DEDUP_TOL
     return pts[keep]
@@ -81,6 +90,18 @@ class PointSet:
         pts = _canonicalize(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _of_canonical(cls, space: SpaceDescriptor, pts: np.ndarray) -> "PointSet":
+        """PointSet(space, pts) for an array already in canonical form: finite
+        rows of the right shape, sorted, each more than DEDUP_TOL from its
+        predecessor in some coordinate.  It is taken as it is, and made
+        read-only."""
+        out = object.__new__(cls)
+        pts.setflags(write=False)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "points", pts)
+        return out
 
     def __len__(self):
         return self.points.shape[0]
@@ -200,7 +221,29 @@ def one_sided_hausdorff(a: PointSet, b: PointSet) -> float:
 
 
 def hausdorff(a: PointSet, b: PointSet) -> float:
-    return max(one_sided_hausdorff(a, b), one_sided_hausdorff(b, a))
+    """max(one_sided_hausdorff(a, b), one_sided_hausdorff(b, a)), bit for bit,
+    usually from one k-d tree.
+
+    The tree holds the smaller cloud (a on a tie), and every row of the
+    larger cloud queries it; the largest of those distances is the larger
+    cloud's side.  A larger row's distance also bounds its nearest smaller
+    row's distance to the larger cloud from above (cKDTree's p = 1, 2 and
+    infinity distances are symmetric bit for bit), and that bound is at most
+    the maximum so far.  So only the smaller rows that are no larger row's
+    nearest can raise it: those rows alone query a tree of the larger cloud,
+    built only when some exist.  Consecutive Riemann sums nearly nest, and
+    few rows stay open.
+    """
+    _check_same_space(a, b)
+    small, large = (b, a) if len(b) < len(a) else (a, b)
+    p = _KDTREE_P[a.space.norm]
+    dists, nearest = cKDTree(small.points).query(large.points, p=p)
+    worst = dists.max()
+    open_rows = np.ones(len(small), dtype=bool)
+    open_rows[nearest] = False
+    if open_rows.any():
+        worst = max(worst, cKDTree(large.points).query(small.points[open_rows], p=p)[0].max())
+    return float(worst)
 
 
 def _pow2_unit(p: np.ndarray) -> float:
@@ -420,6 +463,12 @@ def _net_by_balls(tree: cKDTree, delta: float, p: float) -> np.ndarray:
 _BALL_SAMPLE = 64
 _BALL_STRIDE = 16
 
+#: The sampled balls are counted this many rows at a time, and counting stops
+#: once the walk is decided: on a dense cloud a single ball can pass the
+#: bound, and counting all of them took nearly as long as the ball walk (20,000
+#: points in linf(3) at delta 0.3).
+_BALL_CHUNK = 8
+
 #: Mean delta-ball size (the row included) of the sample above which prune
 #: walks ball by ball.  On uniform clouds of 5,000 and 40,000 points in 2-D
 #: and 3-D, l1/l2/linf, the ball walk took a median 1.35x the pair walk's
@@ -455,10 +504,21 @@ def prune(a: PointSet, delta: float) -> PrunedSet:
     walk = _net_by_pairs
     if len(pts) > _PAIR_WALK_MAX_BALL:  # a smaller cloud's balls cannot hold more
         sample = pts[::max(_BALL_STRIDE, math.ceil(len(pts) / _BALL_SAMPLE))]
-        balls = tree.query_ball_point(sample, delta, p=p, return_length=True)
-        if balls.sum() > _PAIR_WALK_MAX_BALL * len(sample):
-            walk = _net_by_balls
-    return PrunedSet(PointSet(a.space, pts[walk(tree, delta, p)]), float(delta))
+        budget = _PAIR_WALK_MAX_BALL * len(sample)
+        # counts are nonnegative: once a prefix passes the budget, all do
+        for i in range(0, len(sample), _BALL_CHUNK):
+            budget -= tree.query_ball_point(sample[i:i + _BALL_CHUNK], delta, p=p,
+                                            return_length=True).sum()
+            if budget < 0:
+                walk = _net_by_balls
+                break
+    # A subsequence of canonical rows is still sorted.  Kept rows are more
+    # than delta apart in the norm, so more than delta / dim in some
+    # coordinate; twice the margin covers the rounding of either distance.
+    rows = pts[walk(tree, delta, p)]
+    if delta <= 2 * a.space.dim * DEDUP_TOL:
+        rows = _drop_near_duplicates(rows)
+    return PrunedSet(PointSet._of_canonical(a.space, rows), float(delta))
 
 
 def pointset_to_json(a: PointSet) -> dict:

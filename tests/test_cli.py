@@ -228,6 +228,25 @@ def test_non_finite_setting_exit_schema(tmp_path, capsys, source, flag, key, val
     assert err.startswith("error: ") and (flag if source == "flag" else f'"{key}"') in err
 
 
+@pytest.mark.parametrize("flag, key", [
+    ("--tol", "tol"), ("--hull-tol", "hullTol"), ("--prune-delta", "deltaStep"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["integrate", "convexity"])
+def test_negative_setting_exit_schema(tmp_path, capsys, command, source, flag, key):
+    if source == "flag":
+        argv = ["--config", triangle_config(tmp_path), f"{flag}=-1"]  # "-1" reads as a flag
+    else:
+        argv = ["--config", triangle_config(tmp_path, **{key: -1.0})]
+    assert run([command, *argv]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and (flag if source == "flag" else f'"{key}"') in err
+
+
+def test_zero_tol_stays_inconclusive(tmp_path):
+    assert run(["integrate", "--config", triangle_config(tmp_path), "--tol", "0"]) == 3
+
+
 def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
     cfg = triangle_config(tmp_path)
     calls = [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setint import partition
 from setint.errors import ConfigError, InvalidArgumentError
 from setint.partition import (
     Constant,
@@ -70,6 +71,25 @@ def test_widths_telescope(n, seed):
     t = random_partition(n, seed=seed)
     assert t.widths.sum() == pytest.approx(1.0, abs=1e-12)
     assert t.mesh == t.widths.max()
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 64])
+def test_widths_are_computed_once_and_read_only(monkeypatch, n):
+    calls = []
+    grid = partition._uniform_breakpoints
+    monkeypatch.setattr(partition, "_uniform_breakpoints", lambda k: calls.append(k) or grid(k))
+    uniform = uniform_partition(n)
+    other = random_partition(n, seed=n)
+    calls.clear()
+    for t in (uniform, other) * 3:
+        assert t.mesh == t.widths.max()
+        t.is_uniform()
+        assert not t.widths.flags.writeable
+    assert calls == []
+    # the uniform grid's widths are the correctly rounded 1/n, others differ
+    assert np.array_equal(uniform.widths, np.full(n, 1.0 / n))
+    assert np.array_equal(other.widths, np.diff(other.breakpoints))
+    assert uniform.is_uniform()
 
 
 def test_halve_refines_and_keeps_tags():

@@ -10,10 +10,15 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from setint.errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
-from setint.partition import Multifunction, MovingFinite, eval_mf, uniform_partition
+from setint.integrate import riemann_sum
+from setint.partition import Constant, Multifunction, MovingFinite, eval_mf, uniform_partition
 from setint.setops import (
+    _BALL_CHUNK,
+    _BALL_SAMPLE,
+    _BALL_STRIDE,
     DEDUP_TOL,
     _KDTREE_P,
+    _PAIR_WALK_MAX_BALL,
     PointSet,
     _canonicalize,
     _hull_dist_l2,
@@ -527,3 +532,148 @@ def test_minkowski_power_stops_once_the_sums_pass_the_limit():
     assert len(minkowski_power(a, 9, limit=1000)) == 1000
     with pytest.raises(ResourceLimitError, match="10-fold .* grew to 1331"):
         minkowski_power(a, 10, limit=1000)
+
+
+# ---------------------------------------------------------------------------
+# Finite Hausdorff distance from one k-d tree: the reference is the full query
+# of each cloud against a tree of the other.
+
+
+def _two_tree_hausdorff(a, b):
+    p = _KDTREE_P[a.space.norm]
+    return max(cKDTree(a.points).query(b.points, p=p)[0].max(),
+               cKDTree(b.points).query(a.points, p=p)[0].max())
+
+
+def _raw_sum(space, gens, n):
+    """The raw Riemann sum S(F, T_n) of the constant body F(t) = gens on
+    uniform_partition(n)."""
+    f = Multifunction(space, Constant(ps(space, gens)), 10.0, 10.0)
+    return riemann_sum(f, uniform_partition(n)).base
+
+
+def _hausdorff_pairs(space):
+    """(id, a, b): nested raw sums, disjoint, far-apart, shared points, grid
+    ties, equal sizes and single points."""
+    rng = np.random.default_rng(77)
+    dim = space.dim
+    gens = rng.standard_normal((4, dim))
+    yield "nested-sums", _raw_sum(space, gens, 4), _raw_sum(space, gens, 8)
+    yield "disjoint", random_ps(space, 120, rng), translate(random_ps(space, 40, rng), [3.0] * dim)
+    yield "far-apart", random_ps(space, 90, rng), translate(random_ps(space, 30, rng), [1e6] * dim)
+    base = rng.standard_normal((60, dim))
+    yield "shared", ps(space, base), ps(space, np.concatenate([base[:20], rng.standard_normal((50, dim))]))
+    yield ("grid-ties", ps(space, rng.integers(0, 5, (70, dim)) / 4.0),
+           ps(space, rng.integers(0, 5, (25, dim)) / 4.0 + 0.125))
+    yield "equal-sizes", random_ps(space, 50, rng), random_ps(space, 50, rng)
+    yield "single-point", random_ps(space, 1, rng), random_ps(space, 40, rng)
+    yield "two-single-points", random_ps(space, 1, rng), random_ps(space, 1, rng)
+
+
+HAUSDORFF_CASES = [
+    pytest.param(a, b, id=f"{make.__name__}-{tag}")
+    for make in (l1, l2, linf)
+    for tag, a, b in _hausdorff_pairs(make(3))
+]
+
+
+@pytest.mark.parametrize("a, b", HAUSDORFF_CASES)
+def test_hausdorff_equals_two_tree_value_in_both_orders(a, b):
+    want = _two_tree_hausdorff(a, b)
+    assert hausdorff(a, b) == want
+    assert hausdorff(b, a) == want
+
+
+def _count_trees(monkeypatch):
+    built = []
+
+    def counting(data, *args, **kwargs):
+        built.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr("setint.setops.cKDTree", counting)
+    return built
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+def test_hausdorff_of_nested_sums_builds_one_tree(monkeypatch, make):
+    space = make(2)
+    gens = np.random.default_rng(3).standard_normal((5, 2))
+    coarse, fine = _raw_sum(space, gens, 8), _raw_sum(space, gens, 16)
+    assert len(coarse) < len(fine)
+    built = _count_trees(monkeypatch)
+    assert hausdorff(fine, coarse) == _two_tree_hausdorff(fine, coarse)
+    assert built == [len(coarse)]
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+def test_hausdorff_of_far_apart_clouds_is_exact(monkeypatch, make):
+    rng = np.random.default_rng(8)
+    a = random_ps(make(2), 200, rng)
+    b = translate(random_ps(make(2), 30, rng), [1e6, -2e6])
+    metric = cdist_metric(a.space)
+    want = max(cdist(a.points, b.points, metric=metric).min(axis=1).max(),
+               cdist(b.points, a.points, metric=metric).min(axis=1).max())
+    built = _count_trees(monkeypatch)
+    assert hausdorff(a, b) == hausdorff(b, a) == want
+    # the rows of b that no row of a reaches first stay open: a second tree
+    assert built == [30, 200] * 2
+
+
+# ---------------------------------------------------------------------------
+# prune's result and its ball-size sample
+
+
+@pytest.mark.parametrize("space, a, _, delta", REFERENCE_CASES)
+def test_prune_result_is_canonical_without_a_second_sort(monkeypatch, space, a, _, delta):
+    monkeypatch.setattr("setint.setops._canonicalize", None)  # prune must not call it
+    out = prune(a, delta).base.points
+    assert not out.flags.writeable
+    monkeypatch.undo()
+    assert np.array_equal(out, PointSet(space, out).points)
+
+
+def test_prune_result_drops_kept_rows_within_dedup_tol():
+    # delta / dim < DEDUP_TOL in l1(2): rows 0 and 2 are more than delta apart
+    # but within DEDUP_TOL per coordinate, and only row 1, dropped by the net,
+    # separated them in canonical order
+    a = ps(l1(2), [[0.0, 0.0], [0.2e-12, 1.1e-12], [0.9e-12, -0.9e-12]])
+    assert len(a) == 3
+    kept = a.points[[0, 2]]
+    out = prune(a, 1.5e-12).base.points
+    assert np.array_equal(out, PointSet(a.space, kept).points)
+    assert len(out) == 1
+
+
+def test_prune_stops_counting_balls_once_the_walk_is_decided(monkeypatch):
+    # 5,000 points in linf(3) at 0.3: each ball holds about 1,000 points, so
+    # the first chunk of sampled rows alone passes the bound of 64 * 16
+    counted = []
+
+    class CountingTree(cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            if kwargs.get("return_length"):
+                counted.append(len(x))
+            return super().query_ball_point(x, r, **kwargs)
+
+    monkeypatch.setattr("setint.setops.cKDTree", CountingTree)
+    a = PointSet(linf(3), np.random.default_rng(9).random((5000, 3)))
+    kept = prune(a, 0.3).base.points
+    assert counted == [_BALL_CHUNK]
+    assert np.array_equal(kept, a.points[_net_by_balls(cKDTree(a.points), 0.3, np.inf)])
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+@pytest.mark.parametrize("n, delta", [(300, 0.05), (2000, 0.02), (2000, 0.045), (2000, 0.1), (5000, 0.3)])
+def test_prune_picks_the_walk_the_full_sample_picks(monkeypatch, make, n, delta):
+    a = PointSet(make(2), np.random.default_rng(n).random((n, 2)))
+    p = _KDTREE_P[a.space.norm]
+    sample = a.points[::max(_BALL_STRIDE, math.ceil(len(a) / _BALL_SAMPLE))]
+    sizes = cKDTree(a.points).query_ball_point(sample, delta, p=p, return_length=True)
+    want = _net_by_balls if sizes.sum() > _PAIR_WALK_MAX_BALL * len(sample) else _net_by_pairs
+    taken = []
+    for walk in (_net_by_pairs, _net_by_balls):
+        monkeypatch.setattr(f"setint.setops.{walk.__name__}",
+                            lambda *args, walk=walk: taken.append(walk) or walk(*args))
+    prune(a, delta)
+    assert taken == [want]
