@@ -485,6 +485,74 @@ def test_canonicalize_keeps_first_of_equal_rows_in_input_order():
     assert np.signbit(_canonicalize(rows[::-1])[0, 0])
 
 
+# Second reference: the canonical form as one stable lexsort over every
+# column followed by a row-by-row near-duplicate pass.  It fixes which of the
+# rows equal as numbers is kept, so the sign bits of zeros are compared too.
+
+
+def _lexsort_canonicalize(points):
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.ones(pts.shape[0], dtype=bool)
+    keep[1:] = np.abs(np.diff(pts, axis=0)).max(axis=1) > DEDUP_TOL
+    return pts[keep]
+
+
+def _tie_runs(rng, n, dim):
+    """Runs of equal first coordinates whose later columns descend, in input
+    order and shuffled."""
+    first = np.arange(n) // 4 / 8.0
+    later = -np.arange(n * (dim - 1), dtype=float).reshape(n, dim - 1) / 16.0
+    pts = np.column_stack([first, later])
+    return np.concatenate([pts, pts[rng.permutation(n)]])
+
+
+def _signed_zeros(rng, n, dim):
+    """Zeros of both signs in every column, and rows equal as numbers."""
+    pts = rng.choice([0.0, -0.0, 0.5, -0.25], size=(n, dim))
+    pts[0], pts[-1] = 0.0, -0.0
+    return pts
+
+
+def _nudged_copies(rng, n, dim):
+    """Exact copies and copies moved by +-5e-13 per coordinate."""
+    base = rng.integers(-3, 4, (n, dim)) / 4.0
+    moved = base + rng.choice([-5e-13, 0.0, 5e-13], size=(n, dim))
+    return np.concatenate([base, base[rng.permutation(n)], moved])[rng.permutation(3 * n)]
+
+
+def _uniform(rng, n, dim):
+    return rng.random((n, dim))
+
+
+CANONICAL_CASES = [
+    pytest.param(make, n, dim, id=f"{make.__name__.strip('_')}-{n}x{dim}")
+    for make in (_tie_runs, _signed_zeros, _nudged_copies, _uniform)
+    for n, dim in ((1, 1), (1, 3), (2, 2), (3, 2), (9, 2), (9, 3), (200, 1), (200, 2),
+                   (200, 4), (20_000, 2), (20_000, 3), (5, 512), (40, 512))
+]
+
+
+@pytest.mark.parametrize("make, n, dim", CANONICAL_CASES)
+def test_canonicalize_equals_lexsort_form_in_values_and_sign_bits(make, n, dim):
+    pts = make(np.random.default_rng(n * dim), n, dim)
+    got, want = _canonicalize(pts), _lexsort_canonicalize(pts)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("na, nb", [(1, 7), (7, 1), (40, 25), (300, 60)])
+def test_minkowski_equals_canonical_a_major_sums(dim, na, nb):
+    # grid points: many sums tie in the first column or coincide
+    rng = np.random.default_rng(na * nb + dim)
+    a = PointSet(l2(dim), rng.integers(-4, 5, (na, dim)) / 4.0)
+    b = PointSet(l2(dim), rng.integers(-4, 5, (nb, dim)) / 8.0)
+    sums = (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, dim)
+    assert np.array_equal(minkowski(a, b).points, _lexsort_canonicalize(sums))
+
+
 @pytest.mark.parametrize("space", [l1(2), l2(2), linf(2)])
 def test_minkowski_power_equals_folded_sum(space):
     rng = np.random.default_rng(11)
