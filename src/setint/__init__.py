@@ -54,6 +54,7 @@ from .partition import (
     PiecewiseConstant,
     TaggedPartition,
     eval_mf,
+    eval_mf_many,
     halve_with_tags,
     mf_from_json,
     mf_to_json,

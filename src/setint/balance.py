@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .partition import Multifunction, TaggedPartition, eval_mf, inner_of
+from .partition import Multifunction, TaggedPartition, eval_mf_many, inner_of
 from .setops import PointSet, dist_point_to_hull
 from .spaces import SpaceDescriptor, norm, norms
 
@@ -227,7 +227,7 @@ def hull_sum_onesided_greedy(
     bound says this never exceeds C1 * M * mesh**((p-1)/p)."""
     rng = np.random.default_rng(seed)
     g = inner_of(f)
-    values = [eval_mf(g, float(tag)).points for tag in t.tags]
+    values = [val.points for val in eval_mf_many(g, t.tags)]
     widths = t.widths
     space = f.space
     measured_m = 0.0

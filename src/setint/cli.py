@@ -56,23 +56,39 @@ def _dump(obj, path=None):
 
 
 def parse_schedule(spec: str) -> list[int]:
-    """'2,4,8' or 'uniform:2^1..2^8' (all powers of two in the range)."""
-    spec = spec.strip()
-    if spec.startswith("uniform:"):
-        spec = spec[len("uniform:"):]
+    """'2,4,8' or 'uniform:2^1..2^8' (all powers of two in the range); both
+    ends of a range must name the same base."""
+    body = spec.strip()
+    if body.startswith("uniform:"):
+        body = body[len("uniform:"):]
     try:
-        if ".." in spec and "^" in spec:
-            lo, hi = spec.split("..")
-            a = int(lo.split("^")[1])
-            b = int(hi.split("^")[1])
-            base = int(lo.split("^")[0])
-            return [base ** k for k in range(a, b + 1)]
-        if "^" in spec:
-            base, k = spec.split("^")
-            return [int(base) ** int(k)]
-        return [int(tok) for tok in spec.split(",") if tok]
+        if ".." not in body and "^" not in body:
+            return [int(tok) for tok in body.split(",") if tok]
+        ends = [_power(tok) for tok in body.split("..")]
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse schedule {spec!r}") from exc
+    if len(ends) > 2 or ends[0][0] != ends[-1][0]:
+        raise InvalidArgumentError(f"schedule {spec!r} is not one range of powers of one base")
+    (base, lo), (_, hi) = ends[0], ends[-1]
+    return [base ** k for k in range(lo, hi + 1)]
+
+
+def _power(token: str) -> tuple[int, int]:
+    """'b^k' as (b, k)."""
+    base, k = token.split("^")
+    return int(base), int(k)
+
+
+def _schedule_counts(raw) -> list[int]:
+    """The interval counts of a schedule: a string for parse_schedule, or a
+    list of whole numbers."""
+    if isinstance(raw, str):
+        return parse_schedule(raw)
+    if not isinstance(raw, list) or not all(
+        type(x) is int or (type(x) is float and x.is_integer()) for x in raw
+    ):
+        raise InvalidArgumentError(f"schedule {raw!r} is not a list of whole interval counts")
+    return [int(x) for x in raw]
 
 
 def _read_json(path: str):
@@ -105,7 +121,7 @@ def _build_schedule(cfg, args):
     tag_rule = getattr(args, "tag_rule", None) or cfg.get("tagRule", "mid")
     seed = cfg["seed"] if getattr(args, "seed", None) is None else args.seed
     with schema_faults("schedule"):
-        counts = parse_schedule(raw) if isinstance(raw, str) else [int(x) for x in raw]
+        counts = _schedule_counts(raw)
         # an interval count too large for an array is malformed, too
         return [uniform_partition(n, tag_rule, seed=None if tag_rule != "random" else seed + i)
                 for i, n in enumerate(counts)]

@@ -22,7 +22,7 @@ from .partition import (
     CounterexampleL1,
     Multifunction,
     TaggedPartition,
-    eval_mf,
+    eval_mf_many,
     inner_of,
     is_hull_semantics,
 )
@@ -35,6 +35,7 @@ from .setops import (
     minkowski_power,
     prune,
     scale,
+    scale_many,
 )
 
 #: Default cap on the cardinality of an intermediate sum.
@@ -65,27 +66,34 @@ def riemann_sum(
     - With pruning (``delta_step > 0``) raw terms stay one per interval: a
       group would be materialised unpruned.
 
+    Every tag is evaluated in one pass (partition.eval_mf_many), and every
+    group is scaled by its weight in one multiply and put in canonical form
+    again in one pass (setops.scale_many): scaling can make rows tie or
+    merge.  Only the Minkowski steps and pruning run term by term.
+
     The error ledger is (number of terms) * delta_step.
     """
     if not 0 <= delta_step < math.inf:
         raise InvalidArgumentError("delta_step must be finite and nonnegative")
+    values = eval_mf_many(f, t.tags)
+    if transform is not None:
+        values = [PointSet(transform[1], val.points @ transform[0].T) for val in values]
     terms: dict = {}
-    for w, tag in zip(t.widths, t.tags):
-        val = eval_mf(f, float(tag))
-        if transform is not None:
-            val = PointSet(transform[1], val.points @ transform[0].T)
+    for w, val in zip(t.widths.tolist(), values):
         if hull:
             key = val.points.tobytes()
         elif delta_step == 0:
-            key = (val.points.tobytes(), float(w))
+            key = (val.points.tobytes(), w)
         else:
             key = len(terms)
         weight, k, _ = terms.get(key, (0.0, 0, val))
         # hull groups add their widths; raw groups share one width
-        terms[key] = (weight + float(w) if hull else float(w), k + 1, val)
+        terms[key] = (weight + w if hull else w, k + 1, val)
+    weights, counts, values = zip(*terms.values())
     acc: PointSet | None = None
-    for weight, k, val in terms.values():
-        term = scale(weight, val) if hull else minkowski_power(scale(weight, val), k, cap)
+    for term, k in zip(scale_many(weights, values), counts):
+        if not hull:
+            term = minkowski_power(term, k, cap)
         acc = term if acc is None else minkowski(acc, term)
         if delta_step > 0:
             acc = prune(acc, delta_step).base
@@ -332,7 +340,7 @@ def sample_hull_sum(
     """Sample points of S(conv F, T) as sums of per-interval random convex
     combinations of the scaled values; rows are the sampled points."""
     rng = np.random.default_rng(seed)
-    values = [eval_mf(inner_of(f), float(tag)).points for tag in t.tags]
+    values = [val.points for val in eval_mf_many(inner_of(f), t.tags)]
     widths = t.widths
     out = np.zeros((n_samples, f.space.dim))
     for w, pts in zip(widths, values):

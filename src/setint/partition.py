@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, schema_faults
-from .setops import PointSet
+from .setops import PointSet, point_sets
 from .spaces import SpaceDescriptor, norms, space_from_json, space_to_json
 
 _TEL_TOL = 1e-12
@@ -218,31 +218,48 @@ def inner_of(f: Multifunction) -> Multifunction:
 
 
 def eval_mf(f: Multifunction, t: float) -> PointSet:
-    """Value generators at t.  For ConvexHullOf the inner generators are
-    returned; hull semantics are applied downstream through hull distances."""
-    if not 0.0 <= t <= 1.0:
-        raise InvalidArgumentError(f"t must lie in [0, 1], got {t}")
+    """Value generators at t: the one-tag case of eval_mf_many."""
+    return eval_mf_many(f, [t])[0]
+
+
+def eval_mf_many(f: Multifunction, tags) -> list[PointSet]:
+    """Value generators at each tag, one PointSet per tag.  For ConvexHullOf
+    the inner generators are returned; hull semantics are applied downstream
+    through hull distances.
+
+    A moving body evaluates each curve at every tag in one stacked product
+    (see _poly_eval), and the value sets are put in canonical form together
+    (setops.point_sets).  Bodies with finitely many values return their
+    stored sets, which tags that share a value share."""
+    ts = np.asarray(tags, dtype=float).reshape(-1)
+    if len(ts) and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # NaN fails both
+        bad = ts[~((ts >= 0.0) & (ts <= 1.0))][0]
+        raise InvalidArgumentError(f"t must lie in [0, 1], got {float(bad)}")
+    while isinstance(f.body, ConvexHullOf):
+        f = f.body.inner
     body = f.body
     if isinstance(body, Constant):
-        return body.points
+        return [body.points] * len(ts)
     if isinstance(body, PiecewiseConstant):
-        idx = int(np.searchsorted(np.asarray(body.breaks), t, side="right")) - 1
-        idx = min(max(idx, 0), len(body.sets) - 1)
-        return body.sets[idx]
+        idx = np.searchsorted(body.breaks, ts, side="right") - 1
+        return [body.sets[i] for i in np.maximum(np.minimum(idx, len(body.sets) - 1), 0).tolist()]
     if isinstance(body, MovingFinite):
-        pts = np.array([_poly_eval(c, t) for c in body.curves])
-        return PointSet(f.space, pts)
-    if isinstance(body, ConvexHullOf):
-        return eval_mf(body.inner, t)
+        vals = np.stack([_poly_eval(c, ts) for c in body.curves], axis=1)
+        return point_sets(f.space, vals.reshape(-1, vals.shape[2]), [len(body.curves)] * len(ts))
     if isinstance(body, CounterexampleL1):
-        return PointSet(f.space, np.eye(body.trunc_dim))
+        return [PointSet(f.space, np.eye(body.trunc_dim))] * len(ts)
     raise InvalidArgumentError(f"unknown multifunction body {type(body).__name__}")
 
 
-def _poly_eval(coeffs: np.ndarray, t) -> np.ndarray:
-    """The curve at t, or one row per entry when t is an array."""
-    powers = np.power.outer(t, np.arange(coeffs.shape[0]))
-    return powers @ coeffs
+def _poly_eval(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The curve at each t of a 1-D array, one row per t.
+
+    Each row is its own vector-matrix product (a stacked matmul of the (1,
+    deg+1) power rows), so a value does not depend on which other tags share
+    the call.  One (n, deg+1) @ (deg+1, dim) product would round differently
+    from the one-tag product for some rows."""
+    powers = np.power.outer(ts, np.arange(coeffs.shape[0]))
+    return np.matmul(powers[:, None, :], coeffs)[:, 0]
 
 
 def validate_bounds(f: Multifunction, samples: int = 1000, seed: int = 0) -> None:

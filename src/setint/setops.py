@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist
 
 from .errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
 from .spaces import SpaceDescriptor, as_vector, cdist_metric, norms, space_from_json, space_to_json
@@ -35,8 +35,6 @@ DEDUP_TOL = 1e-12
 
 #: Memory guard for pairwise enumeration inside a single Minkowski sum.
 _PAIR_LIMIT = 20_000_000
-
-_CHUNK = 2048
 
 #: Feasibility tolerances of the HiGHS hull LPs.  Its defaults (1e-7) left a
 #: gap above the default tol of 1e-8 on a 6-D l1 query; 1e-10 is the tightest
@@ -49,30 +47,57 @@ _KDTREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
 
 def _canonicalize(points: np.ndarray) -> np.ndarray:
     """Sort rows lexicographically (first column most significant) and drop
-    near-duplicates.
+    near-duplicates: the one-block case of _canonicalize_blocks.
 
     A row is kept iff it differs from its sorted predecessor by more than
     DEDUP_TOL in some coordinate; exact duplicates fall under the same rule.
     Among rows that are equal as numbers (0.0 and -0.0, say) the first in
     input order is kept.
-
-    One stable sort of the first column orders the rows.  numpy's stable
-    float sort is a timsort, linear on presorted runs, and a Minkowski sum
-    arrives as such runs (see minkowski).  Only where two sorted rows tie in
-    the first column does a stable lexsort of the sorted rows order them by
-    all columns.  Both sorts are stable, so rows equal as numbers stay in
-    input order.  The sorted rows are held as a (d, n) array, one contiguous
-    row per column, and neighbours are compared column by column.
     """
     pts = np.asarray(points, dtype=float)
+    return _canonicalize_blocks(pts, [len(pts)])[0]
+
+
+def _canonicalize_blocks(pts: np.ndarray, sizes) -> tuple[np.ndarray, list[int]]:
+    """The canonical form of each block of consecutive rows (``sizes`` rows
+    each, all positive), computed for all blocks at once: the kept rows,
+    block after block, and the list of the rows where each block ends.
+
+    One stable sort of the first column orders the rows; with more than one
+    block, a stable sort of the block numbers then gathers each block's rows
+    in that order.  numpy's stable float sort is a timsort, linear on
+    presorted runs, and a Minkowski sum arrives as such runs (see
+    minkowski).  Only where two sorted rows of one block tie in the first
+    column does a stable lexsort of the sorted rows, by block and then by all
+    columns, order them; rows of a block without ties keep their order.  All
+    sorts are stable, so rows equal as numbers stay in input order.  The
+    sorted rows are held as a (d, n) array, one contiguous row per column,
+    and neighbours are compared column by column, except across a block
+    boundary, where the later row is always kept.
+    """
+    many = len(sizes) > 1
     order = pts[:, 0].argsort(kind="stable")
+    if many:
+        sizes = np.asarray(sizes)
+        block = np.arange(len(sizes)).repeat(sizes)
+        starts = sizes[:-1].cumsum()  # the first row of each later block
+        order = order.take(block.take(order).argsort(kind="stable"))
     cols = pts.T.take(order, axis=1)
     first = cols[0]
-    if len(cols) > 1 and np.count_nonzero(first[1:] == first[:-1]):
-        sub = np.lexsort(cols[::-1])
+    ties = first[1:] == first[:-1]
+    if many:
+        ties[starts - 1] = False  # the neighbours lie in two blocks
+    if len(cols) > 1 and np.count_nonzero(ties):
+        sub = np.lexsort((*cols[::-1], block) if many else cols[::-1])
         order = order.take(sub)
         cols = cols.take(sub, axis=1)
-    return pts.take(order[_fresh_rows(cols)], axis=0)
+    keep = _fresh_rows(cols)
+    if many:
+        keep[starts] = True
+    out = pts.take(order[keep], axis=0)
+    if not many:
+        return out, [len(out)]
+    return out, np.bincount(block[keep], minlength=len(sizes)).cumsum().tolist()
 
 
 def _fresh_rows(cols: np.ndarray) -> np.ndarray:
@@ -93,6 +118,22 @@ def _drop_near_duplicates(pts: np.ndarray) -> np.ndarray:
     return pts[_fresh_rows(pts.T.copy())]
 
 
+def _checked_rows(space: SpaceDescriptor, points) -> np.ndarray:
+    """points as a float (n, space.dim) array, n >= 1, of finite rows."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != space.dim:
+        raise InvalidArgumentError(
+            f"points of shape {pts.shape} do not match space dimension {space.dim}"
+        )
+    if pts.shape[0] == 0:
+        raise InvalidArgumentError("a point set must be nonempty")
+    if not np.isfinite(pts).all():
+        raise InvalidArgumentError("point coordinates must be finite")
+    return pts
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Nonempty finite point cloud in a space; stored deduplicated and sorted."""
@@ -101,18 +142,7 @@ class PointSet:
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.ndim != 2 or pts.shape[1] != self.space.dim:
-            raise InvalidArgumentError(
-                f"points of shape {pts.shape} do not match space dimension {self.space.dim}"
-            )
-        if pts.shape[0] == 0:
-            raise InvalidArgumentError("a point set must be nonempty")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidArgumentError("point coordinates must be finite")
-        pts = _canonicalize(pts)
+        pts = _canonicalize(_checked_rows(self.space, self.points))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -123,7 +153,8 @@ class PointSet:
         predecessor in some coordinate.  It is taken as it is, and made
         read-only."""
         out = object.__new__(cls)
-        pts.setflags(write=False)
+        if pts.flags.writeable:  # a view of a read-only array is read-only
+            pts.setflags(write=False)
         object.__setattr__(out, "space", space)
         object.__setattr__(out, "points", pts)
         return out
@@ -132,13 +163,15 @@ class PointSet:
         return self.points.shape[0]
 
     def diameter(self) -> float:
-        metric = cdist_metric(self.space)
-        best = 0.0
+        """The largest distance between two points.  In linf it is the
+        largest coordinate range, exactly: rounding is monotone, so no pair
+        differs by more in any coordinate."""
         pts = self.points
-        for i in range(0, pts.shape[0], _CHUNK):
-            d = cdist(pts[i:i + _CHUNK], pts, metric=metric)
-            best = max(best, float(d.max()))
-        return best
+        if len(pts) == 1:
+            return 0.0
+        if self.space.norm == "linf":
+            return float((pts.max(axis=0) - pts.min(axis=0)).max())
+        return float(pdist(pts, metric=cdist_metric(self.space)).max())
 
     def same_set(self, other: "PointSet") -> bool:
         return (
@@ -165,8 +198,32 @@ def _check_same_space(a: PointSet, b: PointSet):
         raise InvalidArgumentError(f"space mismatch: {a.space} vs {b.space}")
 
 
+def point_sets(space: SpaceDescriptor, points, sizes) -> list[PointSet]:
+    """One PointSet per block of consecutive rows of ``points`` (``sizes``
+    rows each): [PointSet(space, block) for each block], with the blocks
+    checked and put in canonical form together (see _canonicalize_blocks)."""
+    if len(sizes) == 0:
+        return []
+    if min(sizes) < 1:
+        raise InvalidArgumentError("a point set must be nonempty")
+    pts, ends = _canonicalize_blocks(_checked_rows(space, points), sizes)
+    pts.setflags(write=False)
+    return [PointSet._of_canonical(space, pts[start:end])
+            for start, end in zip([0, *ends[:-1]], ends)]
+
+
+def scale_many(lams, sets: list[PointSet]) -> list[PointSet]:
+    """The sets lam * a, for each factor and set (all of one space), from one
+    multiply and one canonical pass for all of them: a factor can make rows
+    tie or merge, and a negative one reverses their order."""
+    sizes = [len(a) for a in sets]
+    pts = np.concatenate([a.points for a in sets])
+    pts *= np.array(lams, dtype=float).repeat(sizes)[:, None]
+    return point_sets(sets[0].space, pts, sizes)
+
+
 def scale(lam: float, a: PointSet) -> PointSet:
-    return PointSet(a.space, float(lam) * a.points)
+    return scale_many([lam], [a])[0]
 
 
 def translate(a: PointSet, c) -> PointSet:
@@ -460,33 +517,38 @@ def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
 
 def _net_by_pairs(tree: cKDTree, delta: float, p: float) -> np.ndarray:
     """Mask of the greedy net's rows, from one enumeration of the pairs
-    i < j within delta, grouped into forward neighbour lists."""
+    i < j within delta, grouped into forward neighbour lists.  The walk
+    visits only the rows it keeps: bytearray.find gives the next uncovered
+    row, and its later neighbours, from Python lists, are marked covered."""
     n = tree.n
     pairs = tree.query_pairs(delta, p=p, output_type="ndarray")
     first = pairs[:, 0]
     # The walk needs only the groups, but numpy's unstable argsort kinds,
     # though about 0.5 ms faster on 16,000 pairs, load about 0.5 MB more of
     # its code into the process.
-    later = pairs[np.argsort(first, kind="stable"), 1]
-    counts = np.bincount(first, minlength=n)
-    ends = np.cumsum(counts)
-    rows = np.flatnonzero(counts)
-    covered = np.zeros(n, dtype=bool)
+    later = pairs[first.argsort(kind="stable"), 1].tolist()
+    ends = np.bincount(first, minlength=n).cumsum().tolist()
+    covered = bytearray(n)
     # a row is covered only by earlier kept rows, so it is final when reached
-    for i, start, end in zip(rows.tolist(), (ends - counts)[rows].tolist(), ends[rows].tolist()):
-        if not covered[i]:
-            covered[later[start:end]] = True
-    return ~covered
+    i = covered.find(0)
+    while i >= 0:
+        for j in later[ends[i - 1] if i else 0:ends[i]]:
+            covered[j] = 1
+        i = covered.find(0, i + 1)
+    return np.frombuffer(covered, dtype=np.uint8) == 0
 
 
 def _net_by_balls(tree: cKDTree, delta: float, p: float) -> np.ndarray:
-    """Mask of the greedy net's rows, from one delta-ball query per kept row."""
-    covered = np.zeros(tree.n, dtype=bool)
+    """Mask of the greedy net's rows, from one delta-ball query per kept row;
+    as in _net_by_pairs, bytearray.find gives the next uncovered row."""
+    covered = bytearray(tree.n)
+    marks = np.frombuffer(covered, dtype=np.uint8)
     kept = np.zeros(tree.n, dtype=bool)
-    for i in range(tree.n):
-        if not covered[i]:
-            kept[i] = True
-            covered[tree.query_ball_point(tree.data[i], delta, p=p)] = True
+    i = covered.find(0)
+    while i >= 0:
+        kept[i] = True
+        marks[tree.query_ball_point(tree.data[i], delta, p=p)] = 1
+        i = covered.find(0, i + 1)
     return kept
 
 
@@ -526,7 +588,9 @@ def prune(a: PointSet, delta: float) -> PrunedSet:
     _PAIR_WALK_MAX_BALL points on average, the pair list would outgrow the
     walk, and each kept point queries its own ball instead.  Both walks use
     the same closed ball and the same cKDTree distance, and keep the same
-    points.
+    points.  Both visit only the points they keep: bytearray.find jumps to
+    the next point not yet covered, which only earlier kept points could
+    have covered, so it is kept.
     """
     if not 0 <= delta < math.inf:
         raise InvalidArgumentError("delta must be finite and nonnegative")
@@ -539,8 +603,11 @@ def prune(a: PointSet, delta: float) -> PrunedSet:
     if len(pts) > _PAIR_WALK_MAX_BALL:  # a smaller cloud's balls cannot hold more
         sample = pts[::max(_BALL_STRIDE, math.ceil(len(pts) / _BALL_SAMPLE))]
         budget = _PAIR_WALK_MAX_BALL * len(sample)
-        # counts are nonnegative: once a prefix passes the budget, all do
+        # counts are nonnegative: once a prefix passes the budget, all do;
+        # an empty second chunk is not queried (that costs about 12 us)
         for rows in (sample[:_BALL_CHUNK], sample[_BALL_CHUNK:]):
+            if not len(rows):
+                break
             budget -= tree.query_ball_point(rows, delta, p=p, return_length=True).sum()
             if budget < 0:
                 walk = _net_by_balls

@@ -71,6 +71,29 @@ def test_parse_schedule_rejects_garbage():
         parse_schedule("nope")
 
 
+def test_parse_schedule_rejects_a_range_with_two_bases(tmp_path, capsys):
+    with pytest.raises(InvalidArgumentError, match=r"2\^1\.\.3\^4"):
+        parse_schedule("uniform:2^1..3^4")
+    cfg = triangle_config(tmp_path)
+    assert run(["integrate", "--config", cfg, "--schedule", "uniform:2^1..3^4"]) == EXIT_SCHEMA
+    assert "uniform:2^1..3^4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule", [[2.7, "4"], [2, "4"], [2, True], [2, 1e400], {"n": 2}])
+def test_config_schedule_that_is_not_whole_counts_exit_schema(tmp_path, capsys, schedule):
+    cfg = triangle_config(tmp_path, schedule=schedule)
+    assert run(["integrate", "--config", cfg]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "schedule" in err
+    if isinstance(schedule, list):
+        assert repr(schedule) in err
+
+
+def test_config_schedule_of_whole_floats_runs(tmp_path):
+    cfg = triangle_config(tmp_path, schedule=[2.0, 4])
+    assert run(["integrate", "--config", cfg]) == run(["integrate", "--config", triangle_config(tmp_path)])
+
+
 def test_integrate_converged_exit_zero(tmp_path, capsys):
     cfg = triangle_config(tmp_path)
     assert run(["integrate", "--config", cfg]) == 0
@@ -103,13 +126,14 @@ def test_rerun_byte_identical(tmp_path):
 
 
 #: integrate configs and the JSON each printed when recorded: a pruned 5-curve
-#: moving body in l1(2), and a raw 6-point constant body in l2(2) on
-#: uniform:2^1..2^4.  A change that only makes setint faster must reproduce
-#: them byte for byte.
+#: moving body in l1(2), a raw 6-point constant body in l2(2) on
+#: uniform:2^1..2^4, and a pruned 5-curve moving body in linf(3) with one
+#: quadratic curve among linear ones, at random tags.  A change that only
+#: makes setint faster must reproduce them byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["moving_l1", "constant_l2"])
+@pytest.mark.parametrize("name", ["moving_l1", "constant_l2", "moving_linf"])
 def test_integrate_json_matches_recorded_output(tmp_path, name):
     jpath = tmp_path / "out.json"
     with contextlib.redirect_stdout(io.StringIO()):

@@ -28,10 +28,19 @@ from setint.partition import (
     PiecewiseConstant,
     eval_mf,
     halve_with_tags,
+    inner_of,
     random_partition,
     uniform_partition,
 )
-from setint.setops import PointSet, hausdorff, hausdorff_hulls, minkowski, scale
+from setint.setops import (
+    PointSet,
+    hausdorff,
+    hausdorff_hulls,
+    minkowski,
+    minkowski_power,
+    prune,
+    scale,
+)
 from setint.spaces import l1, l2, linf
 
 
@@ -174,6 +183,74 @@ def test_moving_l1_hull_rows_certify_in_dim_24():
     sums = [riemann_sum(f, t).base for t in schedule]
     for row, prev, cur in zip(report.rows[1:], sums, sums[1:]):
         assert row.distance <= hausdorff(cur, prev)
+
+
+def _term_by_term_sum(f, t, delta_step=0.0, transform=None, hull=False):
+    """Reference: the Riemann sum built one term at a time, each value
+    evaluated at its own tag (a moving body's curves by one vector-matrix
+    product each) and scaled on its own, with the groups of riemann_sum."""
+    g = inner_of(f)
+    terms = {}
+    for w, tag in zip(t.widths.tolist(), t.tags.tolist()):
+        if isinstance(g.body, MovingFinite):
+            val = PointSet(g.space, np.array(
+                [np.power.outer(tag, np.arange(c.shape[0])) @ c for c in g.body.curves]))
+        else:
+            val = eval_mf(g, tag)
+        if transform is not None:
+            val = PointSet(transform[1], val.points @ transform[0].T)
+        key = (val.points.tobytes() if hull
+               else (val.points.tobytes(), w) if delta_step == 0 else len(terms))
+        weight, k, _ = terms.get(key, (0.0, 0, val))
+        terms[key] = (weight + w if hull else w, k + 1, val)
+    acc = None
+    for weight, k, val in terms.values():
+        term = PointSet(val.space, weight * val.points)
+        term = term if hull else minkowski_power(term, k)
+        acc = term if acc is None else minkowski(acc, term)
+        if delta_step > 0:
+            acc = prune(acc, delta_step).base
+    return acc
+
+
+def _mixed_degree_mf(space):
+    rng = np.random.default_rng(31)
+    curves = tuple(rng.uniform(-1.0, 1.0, (deg + 1, space.dim)) for deg in (1, 2, 1, 0))
+    return Multifunction(space, MovingFinite(curves), 3.0, 6.0)
+
+
+@pytest.mark.parametrize("space", [l1(2), l2(2), linf(3)])
+@pytest.mark.parametrize("t", [uniform_partition(8, tag_rule="random", seed=2),
+                               random_partition(7, seed=4)], ids=["uniform", "random"])
+@pytest.mark.parametrize("body, delta", [("moving", 0.0), ("moving", 0.05), ("hull-moving", 0.0),
+                                         ("hull-piecewise", 0.0), ("constant", 0.0)])
+def test_riemann_sum_equals_term_by_term_sum(space, t, body, delta):
+    rng = np.random.default_rng(6)
+    a, b = (PointSet(space, rng.uniform(-1.0, 1.0, (3, space.dim))) for _ in range(2))
+    f = {"moving": _mixed_degree_mf(space),
+         "constant": Multifunction(space, Constant(a), 3.0, 6.0),
+         "hull-piecewise": Multifunction(space, PiecewiseConstant((0.0, 0.4, 0.6, 1.0), (a, b, a)),
+                                         3.0, 6.0)}
+    f["hull-moving"] = f["moving"]
+    hull = body.startswith("hull")
+    if hull:
+        f[body] = Multifunction(space, ConvexHullOf(f[body]), 3.0, 6.0)
+    got = riemann_sum(f[body], t, delta, hull=hull).base.points
+    want = _term_by_term_sum(f[body], t, delta, hull=hull).points
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.02])
+def test_pushforward_sum_equals_term_by_term_sum(delta):
+    f = _mixed_degree_mf(l2(2))
+    p = np.array([[1.0, -0.5], [0.25, 2.0], [1e-13, 0.0]])
+    target = l2(3)
+    t = uniform_partition(6, tag_rule="random", seed=9)
+    got = riemann_sum(f, t, delta, transform=(p, target)).base.points
+    want = _term_by_term_sum(f, t, delta, transform=(p, target)).points
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_integrate_candidate_converged():

@@ -14,6 +14,7 @@ from setint.partition import (
     PiecewiseConstant,
     TaggedPartition,
     eval_mf,
+    eval_mf_many,
     halve_with_tags,
     inner_of,
     is_hull_semantics,
@@ -125,6 +126,58 @@ def test_eval_moving_finite():
     f = Multifunction(space, MovingFinite((curve,)), bound_m=2.0, diam_bound=0.0)
     v = eval_mf(f, 0.5).points
     assert np.allclose(v, [[0.5, 0.25]])
+
+
+def _per_tag_value(curves, t):
+    """Reference: each curve at t as one vector-matrix product of the powers
+    of t, the form eval_mf took before the tags were batched."""
+    return np.array([np.power.outer(t, np.arange(c.shape[0])) @ c for c in curves])
+
+
+def _moving_cases():
+    rng = np.random.default_rng(23)
+    mixed = tuple(rng.standard_normal((deg + 1, 3)) for deg in (0, 1, 2, 3, 1))
+    yield "mixed-degrees", l2(3), mixed
+    yield "one-curve", linf(2), (rng.standard_normal((3, 2)),)
+    yield "dim-1", l1(1), tuple(rng.standard_normal((deg + 1, 1)) for deg in (1, 3, 2))
+    for draw in range(20):
+        dim = int(rng.integers(1, 7))
+        curves = tuple(rng.uniform(-2.0, 2.0, (int(rng.integers(2, 5)), dim))
+                       for _ in range(int(rng.integers(1, 6))))
+        yield f"random-{draw}", l2(dim), curves
+
+
+@pytest.mark.parametrize("space, curves", [
+    pytest.param(space, curves, id=tag) for tag, space, curves in _moving_cases()
+])
+def test_eval_mf_many_equals_per_tag_product_bit_for_bit(space, curves):
+    f = Multifunction(space, MovingFinite(curves), bound_m=100.0, diam_bound=100.0)
+    tags = np.concatenate(([0.0, 1.0, 0.5], np.random.default_rng(len(curves)).random(200)))
+    values = eval_mf_many(f, tags)
+    assert len(values) == len(tags)
+    for t, val in zip(tags, values):
+        want = PointSet(space, _per_tag_value(curves, float(t))).points
+        assert np.array_equal(val.points, want)
+        assert np.array_equal(np.signbit(val.points), np.signbit(want))
+        assert np.array_equal(eval_mf(f, float(t)).points, want)
+
+
+def test_eval_mf_many_of_finite_bodies_returns_the_stored_sets():
+    space = l2(2)
+    a = PointSet(space, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    b = PointSet(space, np.array([[5.0, 5.0]]))
+    g = Multifunction(space, PiecewiseConstant((0.0, 0.5, 1.0), (a, b)), 8.0, 1.0)
+    assert [v is b for v in eval_mf_many(g, [0.0, 0.49, 0.5, 1.0])] == [False, False, True, True]
+    hull = Multifunction(space, ConvexHullOf(g), 8.0, 1.0)
+    assert eval_mf_many(hull, [0.2])[0] is a
+    assert eval_mf_many(g, []) == []
+
+
+@pytest.mark.parametrize("tags", [[0.5, 1.5], [-0.1], [0.2, float("nan")]])
+def test_eval_mf_many_rejects_tags_outside_the_unit_interval(tags):
+    f = Multifunction(l2(2), MovingFinite((np.zeros((2, 2)),)), 1.0, 1.0)
+    with pytest.raises(InvalidArgumentError, match=r"t must lie in \[0, 1\]"):
+        eval_mf_many(f, tags)
 
 
 def test_hull_semantics_and_inner():

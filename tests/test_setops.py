@@ -21,6 +21,7 @@ from setint.setops import (
     _PAIR_WALK_MAX_BALL,
     PointSet,
     _canonicalize,
+    _canonicalize_blocks,
     _hull_dist_l2,
     _net_by_balls,
     _net_by_pairs,
@@ -31,10 +32,12 @@ from setint.setops import (
     minkowski,
     minkowski_power,
     one_sided_hausdorff,
+    point_sets,
     pointset_from_json,
     pointset_to_json,
     prune,
     scale,
+    scale_many,
     translate,
 )
 from setint.spaces import cdist_metric, l1, l2, linf
@@ -99,6 +102,28 @@ def test_hausdorff_depends_on_norm():
 def test_diameter():
     a = ps(l2(2), [[0, 0], [3, 4], [1, 0]])
     assert a.diameter() == pytest.approx(5.0)
+
+
+def _chunked_cdist_diameter(a, chunk=2048):
+    """Reference: the largest entry of the pairwise cdist matrix, in blocks."""
+    metric = cdist_metric(a.space)
+    return max(float(cdist(a.points[i:i + chunk], a.points, metric=metric).max())
+               for i in range(0, len(a), chunk))
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+@pytest.mark.parametrize("n, dim", [(2, 1), (7, 2), (300, 3), (2500, 2), (40, 24)])
+def test_diameter_equals_chunked_cdist_form(make, n, dim):
+    rng = np.random.default_rng(n + dim)
+    a = PointSet(make(dim), rng.standard_normal((n, dim)) * rng.uniform(1e-3, 1e3, dim))
+    assert a.diameter() == _chunked_cdist_diameter(a)
+    grid = PointSet(make(dim), rng.integers(-3, 4, (n, dim)) / 3.0)
+    assert grid.diameter() == _chunked_cdist_diameter(grid)
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+def test_diameter_of_one_point_is_zero(make):
+    assert ps(make(3), [[1.0, -2.0, 3.0]]).diameter() == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -540,6 +565,113 @@ def test_canonicalize_equals_lexsort_form_in_values_and_sign_bits(make, n, dim):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# The batched canonical form: blocks of consecutive rows, each put in the
+# canonical form of _canonicalize, all at once.
+
+
+def _block_sizes(rng, n):
+    """Random positive block sizes, mostly small, that add up to n."""
+    sizes = []
+    while n:
+        sizes.append(min(n, int(rng.integers(1, 7))))
+        n -= sizes[-1]
+    return sizes
+
+
+BLOCK_CASES = [
+    pytest.param(make, n, dim, id=f"{make.__name__.strip('_')}-{n}x{dim}")
+    for make in (_tie_runs, _signed_zeros, _nudged_copies, _uniform)
+    for n, dim in ((1, 1), (2, 2), (9, 3), (60, 1), (60, 2), (200, 3), (400, 2), (40, 64))
+]
+
+
+@pytest.mark.parametrize("make, n, dim", BLOCK_CASES)
+def test_point_sets_equal_per_block_canonical_form_in_values_and_sign_bits(make, n, dim):
+    rng = np.random.default_rng(n + dim)
+    pts = make(rng, n, dim)
+    sizes = _block_sizes(rng, len(pts))
+    got = point_sets(l2(dim), pts, sizes)
+    assert len(got) == len(sizes)
+    for out, end, size in zip(got, np.cumsum(sizes), sizes):
+        block = pts[end - size:end]
+        for want in (_canonicalize(block), _lexsort_canonicalize(block)):
+            assert out.points.shape == want.shape
+            assert np.array_equal(out.points, want)
+            assert np.array_equal(np.signbit(out.points), np.signbit(want))
+        assert not out.points.flags.writeable
+
+
+def test_canonicalize_blocks_ends_each_block_after_its_kept_rows():
+    # copies within DEDUP_TOL shrink the blocks unequally: 3 -> 1, 2 -> 2, 4 -> 2
+    rows = np.array([[0.0, 1.0], [5e-13, 1.0], [0.0, 1.0 - 5e-13],
+                     [0.0, 1.0], [0.0, 0.0],
+                     [2.0, 0.0], [-0.0, 3.0], [2.0, 4e-13], [0.0, 3.0]])
+    pts, ends = _canonicalize_blocks(rows, [3, 2, 4])
+    assert ends == [1, 3, 5]
+    assert pts.tolist() == [[0.0, 1.0 - 5e-13], [0.0, 0.0], [0.0, 1.0], [-0.0, 3.0], [2.0, 0.0]]
+    assert np.signbit(pts[3, 0]) and not np.signbit(pts[0, 0])
+
+
+def test_canonicalize_blocks_lexsorts_only_for_ties_within_a_block(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+    # the last row of each block ties with the first row of the next one
+    rows = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 2.0], [2.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
+    _canonicalize_blocks(rows, [2, 2, 2])
+    assert calls == []
+    pts, ends = _canonicalize_blocks(rows, [3, 3])  # [1, 0] and [1, 2] tie in one block
+    assert calls == [3]  # two columns and the block number
+    assert ends == [3, 6] and np.array_equal(pts, rows)
+
+
+def test_point_sets_rejects_empty_or_non_finite_blocks():
+    with pytest.raises(InvalidArgumentError, match="nonempty"):
+        point_sets(l2(1), np.zeros((2, 1)), [2, 0])
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        point_sets(l2(1), np.array([[0.0], [np.inf]]), [1, 1])
+    with pytest.raises(InvalidArgumentError, match="dimension"):
+        point_sets(l2(2), np.zeros((2, 3)), [1, 1])
+
+
+#: Rows whose first coordinates, 2^53 - 2 and 2^53 - 1, round to one number
+#: when scaled by 1.25 (the products pass 2^53, where the spacing is 2), so
+#: the scaled rows tie there and must be ordered by their second column,
+#: which descends in input order.
+SCALED_TIES = ps(l2(2), [[2.0 ** 53 - 2, 0.5], [2.0 ** 53 - 1, 0.25]])
+#: Rows 1.5e-12 apart, which scaling by 1/2 brings within DEDUP_TOL.
+SCALED_NEAR = ps(l2(2), [[0.0, 0.0], [1.5e-12, 0.0], [0.0, 1.5e-12], [1.0, 1.0]])
+
+
+def test_scaling_can_tie_and_merge_rows():
+    tied = scale(1.25, SCALED_TIES).points
+    assert tied[0, 0] == tied[1, 0] and tied[0, 1] < tied[1, 1]
+    assert len(SCALED_NEAR) == 4 and len(scale(0.5, SCALED_NEAR)) == 2
+
+
+def _scaling_cases():
+    """(id, factors, sets): factors that make rows tie in the first column,
+    merge within DEDUP_TOL, collapse to one row (zero) or reverse their order
+    (negative), and the widths of a Riemann sum."""
+    rng = np.random.default_rng(4)
+    cloud = random_ps(l2(2), 5, rng)
+    yield "ties", [1.25, 1.0, 1.25], [SCALED_TIES, SCALED_TIES, SCALED_NEAR]
+    yield "near-duplicates", [0.5, 0.25, 1.0], [SCALED_NEAR] * 3
+    yield "zero-and-negative", [0.0, -1.0, -0.25], [cloud, cloud, SCALED_NEAR]
+    yield "widths", [0.125] * 4 + [1 / 3], [random_ps(l2(2), 5, rng) for _ in range(5)]
+
+
+@pytest.mark.parametrize("lams, sets", [
+    pytest.param(lams, sets, id=tag) for tag, lams, sets in _scaling_cases()
+])
+def test_scale_many_equals_scaling_each_set(lams, sets):
+    for lam, a, out in zip(lams, sets, scale_many(lams, sets)):
+        want = _lexsort_canonicalize(float(lam) * a.points)
+        assert np.array_equal(out.points, want)
+        assert np.array_equal(np.signbit(out.points), np.signbit(want))
+        assert np.array_equal(scale(lam, a).points, want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
