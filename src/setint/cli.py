@@ -8,8 +8,9 @@ byte-identity).
 
 Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
 1 when a solver fails to certify; 64 on schema or argument violations (a
-non-finite or negative tol, hull tolerance or pruning radius among them); 70
-on resource limits.
+non-finite or negative tol, hull tolerance or pruning radius among them, a
+zero hull tolerance for a hull body, and convexity of a body whose limit is
+never built); 70 on resource limits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from .errors import (
     UnsupportedOperationError,
     schema_faults,
 )
-from .partition import eval_mf, mf_from_json, random_partition, uniform_partition, validate_bounds
+from .partition import (
+    CounterexampleL1,
+    eval_mf,
+    mf_from_json,
+    random_partition,
+    uniform_partition,
+    validate_bounds,
+)
 from .setops import PointSet, hausdorff_hulls, pointset_from_json
 from .spaces import SpaceDescriptor, c1_constant, space_from_json
 
@@ -188,6 +196,11 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_convexity(args) -> int:
     cfg, f, schedule = _load_problem(args)
+    if isinstance(f.body, CounterexampleL1):
+        raise UnsupportedOperationError(
+            "convexity needs a computed limit, and a counterexample_l1 body has none: "
+            "its divergence is certified by the witness bound without building the sums"
+        )
     tol = _setting(args, cfg, "tol")
     hull_tol = _setting(args, cfg, "hull_tol")
     report = run_integrate(f, schedule, tol=tol, delta_step=_setting(args, cfg, "prune_delta"),

@@ -42,36 +42,30 @@ from .setops import (
 CARDINALITY_CAP = 200_000
 
 
-def riemann_sum(
+def riemann_terms(
     f: Multifunction,
     t: TaggedPartition,
     delta_step: float = 0.0,
-    cap: int = CARDINALITY_CAP,
     transform=None,
     hull: bool = False,
-) -> PrunedSet:
-    """S(F, T) = Minkowski sum of |interval| * F(tag) with per-step pruning.
+) -> tuple[tuple[float, ...], tuple[int, ...], tuple[PointSet, ...]]:
+    """The grouped terms of S(F, T): (weights, counts, values), one entry per
+    group, in order of the group's first term (the first half of
+    riemann_sum).
 
-    ``transform``, if given, maps each value's point array before scaling
-    (used by the pushforward experiment).  Terms whose values are equal (same
-    canonical bytes) form groups, in order of their first term:
+    ``transform``, if given, maps each value's point array first (used by the
+    pushforward experiment).  Terms whose values are equal (same canonical
+    bytes) form groups:
 
     - With ``hull``, a group is one term (w_1 + ... + w_k) * A, which leaves
       the hull of the sum unchanged (sum w_i conv A = (sum w_i) conv A) but
       not its points; weights add in partition order.
     - Without ``hull`` and without pruning, a group also shares its width w,
-      and its k terms add up to the k-fold Minkowski power of w * A (see
-      setops.minkowski_power), the same point set, built in one step unless
-      the multisets of k generators outnumber ``cap``.
+      and its k terms add up to the k-fold Minkowski power of w * A.
     - With pruning (``delta_step > 0``) raw terms stay one per interval: a
       group would be materialised unpruned.
 
-    Every tag is evaluated in one pass (partition.eval_mf_many), and every
-    group is scaled by its weight in one multiply and put in canonical form
-    again in one pass (setops.scale_many): scaling can make rows tie or
-    merge.  Only the Minkowski steps and pruning run term by term.
-
-    The error ledger is (number of terms) * delta_step.
+    Every tag is evaluated in one pass (partition.eval_mf_many).
     """
     if not 0 <= delta_step < math.inf:
         raise InvalidArgumentError("delta_step must be finite and nonnegative")
@@ -89,7 +83,35 @@ def riemann_sum(
         weight, k, _ = terms.get(key, (0.0, 0, val))
         # hull groups add their widths; raw groups share one width
         terms[key] = (weight + w if hull else w, k + 1, val)
-    weights, counts, values = zip(*terms.values())
+    return tuple(zip(*terms.values()))
+
+
+def _same_terms(a, b, hull: bool = False) -> bool:
+    """Whether two results of riemann_terms give the same sum: equal weights
+    (as floats), values equal bit for bit (or the same objects), and, for raw
+    sums, equal counts; a hull sum ignores its counts."""
+    (wa, ca, va), (wb, cb, vb) = a, b
+    return wa == wb and (hull or ca == cb) and all(
+        x is y or x.points.tobytes() == y.points.tobytes() for x, y in zip(va, vb)
+    )
+
+
+def sum_terms(
+    terms, delta_step: float = 0.0, cap: int = CARDINALITY_CAP, hull: bool = False
+) -> PrunedSet:
+    """The Minkowski sum of riemann_terms' groups with per-step pruning (the
+    second half of riemann_sum).
+
+    Every group is scaled by its weight in one multiply and put in canonical
+    form again in one pass (setops.scale_many): scaling can make rows tie or
+    merge.  A raw group of k terms is the k-fold Minkowski power of its scaled
+    value (setops.minkowski_power), built in one step unless the multisets of
+    k generators outnumber ``cap``.  Only the Minkowski steps and pruning run
+    group by group.
+
+    The error ledger is (number of terms) * delta_step.
+    """
+    weights, counts, values = terms
     acc: PointSet | None = None
     for term, k in zip(scale_many(weights, values), counts):
         if not hull:
@@ -102,7 +124,29 @@ def riemann_sum(
                 f"intermediate sum grew to {len(acc)} points (cap {cap}); "
                 "use a larger delta_step"
             )
-    return PrunedSet(acc, len(terms) * delta_step)
+    return PrunedSet(acc, len(weights) * delta_step)
+
+
+def riemann_sum(
+    f: Multifunction,
+    t: TaggedPartition,
+    delta_step: float = 0.0,
+    cap: int = CARDINALITY_CAP,
+    transform=None,
+    hull: bool = False,
+) -> PrunedSet:
+    """S(F, T) = Minkowski sum of |interval| * F(tag) with per-step pruning,
+    in two halves: riemann_terms groups the terms (under ``hull`` equal
+    values merge into one term whose weight is the sum of their widths, in
+    unpruned raw sums into one k-fold Minkowski power), and sum_terms scales
+    and accumulates the groups, pruning after each step with ``delta_step``.
+    ``transform``, if given, maps each value's point array before scaling
+    (used by the pushforward experiment).  integrate calls the halves itself,
+    so that a row whose terms repeat the previous row's skips the second.
+
+    The error ledger is (number of terms) * delta_step.
+    """
+    return sum_terms(riemann_terms(f, t, delta_step, transform, hull), delta_step, cap, hull)
 
 
 @dataclass(frozen=True)
@@ -194,6 +238,15 @@ def integrate(
     gaps below tol/2).  For the l1 counterexample family divergence is
     certified through the witness integer program instead of materializing
     the sums (see counterexamples.witness_distance).
+
+    Each row computes its grouped terms (riemann_terms) and compares them
+    with the previous row's (_same_terms).  Where they are the same, as for a
+    (piecewise) constant hull body whose breaks lie on the grid, the row
+    reuses the previous row's sum, and with it its distance: the previous
+    distance to the candidate, or 0.0 between two equal consecutive sums.
+    Otherwise the terms are accumulated (sum_terms) and the distance
+    measured.  The sum phase of a row's timing covers its terms, the
+    comparison and any accumulation.
     """
     if not schedule:
         raise InvalidArgumentError("schedule must be nonempty")
@@ -205,25 +258,30 @@ def integrate(
         return _integrate_witness(f, schedule, tol)
 
     hull = is_hull_semantics(f)
+    # checked here, since a row that reuses a sum measures no hull distance
+    if hull and not hull_tol > 0:
+        raise InvalidArgumentError("hull_tol must be positive")
 
     def dist(a: PointSet, b: PointSet) -> float:
         return hausdorff_hulls(a, b, hull_tol) if hull else hausdorff(a, b)
 
     rows = []
-    prev = None
+    prev = prev_terms = None
     for t in schedule:
         start = time.perf_counter()
-        s = riemann_sum(f, t, delta_step, cap, hull=hull)
+        terms = riemann_terms(f, t, delta_step, hull=hull)
+        repeat = prev_terms is not None and _same_terms(terms, prev_terms, hull)
+        s = prev if repeat else sum_terms(terms, delta_step, cap, hull)
         mid = time.perf_counter()
         if candidate is not None:
-            d, err = dist(s.base, candidate), s.err_bound
+            d, err = rows[-1].distance if repeat else dist(s.base, candidate), s.err_bound
         elif prev is None:
             d, err = float("nan"), s.err_bound
         else:
-            d, err = dist(s.base, prev.base), s.err_bound + prev.err_bound
+            d, err = 0.0 if repeat else dist(s.base, prev.base), s.err_bound + prev.err_bound
         end = time.perf_counter()
         rows.append(Row(t.mesh, d, err, len(s.base), (mid - start) * 1000.0, (end - mid) * 1000.0))
-        prev = s
+        prev, prev_terms = s, terms
     if candidate is not None:
         fit = rows
         converged = rows[-1].distance + rows[-1].prune_error < tol

@@ -38,14 +38,17 @@ class TaggedPartition:
             raise InvalidArgumentError("need at least two breakpoints")
         if abs(bp[0]) > _TEL_TOL or abs(bp[-1] - 1.0) > _TEL_TOL:
             raise InvalidArgumentError("breakpoints must start at 0 and end at 1")
-        if not np.all(np.diff(bp) > 0):
+        lo, hi = bp[:-1], bp[1:]
+        # ndarray methods: the np.all / np.any / np.array_equal wrappers cost
+        # more than the checks on these short arrays
+        if not (hi > lo).all():
             raise InvalidArgumentError("breakpoints must be strictly increasing")
-        if tg.shape != (bp.shape[0] - 1,):
+        if tg.shape != lo.shape:
             raise InvalidArgumentError("need exactly one tag per interval")
-        if np.any(tg < bp[:-1] - _TEL_TOL) or np.any(tg > bp[1:] + _TEL_TOL):
+        if (tg < lo - _TEL_TOL).any() or (tg > hi + _TEL_TOL).any():
             raise InvalidArgumentError("each tag must lie inside its interval")
         n = tg.shape[0]
-        widths = np.full(n, 1.0 / n) if np.array_equal(bp, _uniform_breakpoints(n)) else np.diff(bp)
+        widths = np.full(n, 1.0 / n) if (bp == _uniform_breakpoints(n)).all() else hi - lo
         for name, arr in (("breakpoints", bp), ("tags", tg), ("widths", widths)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

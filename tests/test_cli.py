@@ -127,13 +127,17 @@ def test_rerun_byte_identical(tmp_path):
 
 #: integrate configs and the JSON each printed when recorded: a pruned 5-curve
 #: moving body in l1(2), a raw 6-point constant body in l2(2) on
-#: uniform:2^1..2^4, and a pruned 5-curve moving body in linf(3) with one
-#: quadratic curve among linear ones, at random tags.  A change that only
-#: makes setint faster must reproduce them byte for byte.
+#: uniform:2^1..2^4, a pruned 5-curve moving body in linf(3) with one
+#: quadratic curve among linear ones, at random tags, and two hull bodies of
+#: two pieces each: in l1(2) with its break at 1/2 and a candidate off the
+#: integral (every row repeats the first one's terms), and in l2(2) with its
+#: break at 1/3 and no candidate (no row repeats).  A change that only makes
+#: setint faster must reproduce them byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["moving_l1", "constant_l2", "moving_linf"])
+@pytest.mark.parametrize("name", ["moving_l1", "constant_l2", "moving_linf",
+                                  "piecewise_hull_l1", "piecewise_hull_l2"])
 def test_integrate_json_matches_recorded_output(tmp_path, name):
     jpath = tmp_path / "out.json"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -206,6 +210,17 @@ def test_convexity_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["hullDistance"] <= 2e-6
+
+
+def test_convexity_of_the_l1_counterexample_exit_schema(tmp_path, capsys):
+    # its rows come from the witness bound, and no limit is ever built
+    cfg = triangle_cfg()
+    cfg["multifunction"] = {"space": {"dim": 7, "norm": "l1"}, "boundM": 1.0, "diamBound": 2.0,
+                            "body": {"kind": "counterexample_l1", "n": 3, "N": 7}}
+    del cfg["candidate"]
+    assert run(["convexity", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "counterexample_l1" in err
 
 
 @pytest.mark.parametrize("command, flag, document", [

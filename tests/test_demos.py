@@ -1,0 +1,25 @@
+"""Smoke test of the demos: each runs to the end and prints its summary."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo, summary", [
+    pytest.param(demo, summary, id=demo) for demo, summary in (
+        ("convergence_rate", "log-log slope: "),
+        ("convexification", "while the hull defect stays at solver tolerance: the limit is convex"),
+        ("divergence_vs_hull", "  brute force : "),
+    )
+])
+def test_demo_runs_to_its_summary(demo, summary):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith(summary)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -410,3 +411,134 @@ def test_witness_cardinality_counts_distinct_points(m):
     row = integrate(f, [uniform_partition(m)]).rows[0]
     assert row.cardinality == len(riemann_sum(f, uniform_partition(m)).base)
     assert row.cardinality == math.comb(3 + m - 1, m)
+
+
+# ---------------------------------------------------------------------------
+# Row reuse: a row whose grouped terms repeat the previous row's reuses its
+# sum and distance.
+
+INTEGRATE = sys.modules["setint.integrate"]  # the package attribute is the function
+
+
+def _reuse_bodies():
+    space = l1(2)
+    tri = PointSet(space, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    seg = PointSet(space, np.array([[0.0, 0.0], [1.0, 1.0]]))
+    # two points a constant step apart: a sum of n values has n + 1 points
+    curves = (np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def mf(body, hull=True):
+        inner = Multifunction(space, body, 3.0, 3.0)
+        return Multifunction(space, ConvexHullOf(inner), 3.0, 3.0) if hull else inner
+
+    return {
+        "hull-constant": mf(Constant(tri)),
+        "hull-piecewise-on-grid": mf(PiecewiseConstant((0.0, 0.5, 1.0), (tri, seg))),
+        "hull-piecewise-off-grid": mf(PiecewiseConstant((0.0, 1 / 3, 1.0), (tri, seg))),
+        "hull-moving": mf(MovingFinite(curves)),
+        "raw-constant": mf(Constant(tri), hull=False),
+        "raw-pruned": mf(Constant(tri), hull=False),
+    }
+
+
+#: The reuse cases: the body, and whether the rows after the first repeat its
+#: terms on the uniform grids of 2, 4, ..., 64 midpoints.  Off the grid, a
+#: break at 1/3 gives every row other weights; one at 0.3 would not (2 of 8
+#: midpoints lie below it, as 1 of 4 does: both weigh 1/4).
+REUSE_CASES = [
+    ("hull-constant", True),
+    ("hull-piecewise-on-grid", True),
+    ("hull-piecewise-off-grid", False),
+    ("hull-moving", False),
+    ("raw-constant", False),
+    ("raw-pruned", False),
+]
+
+
+def _integrate_counted(monkeypatch, name, with_candidate):
+    """integrate over 2, 4, ..., 64 intervals, with the accumulations and the
+    distances it computes counted."""
+    f = _reuse_bodies()[name]
+    calls = {"sums": 0, "distances": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(INTEGRATE, "sum_terms", counted(INTEGRATE.sum_terms, "sums"))
+    for dist in ("hausdorff", "hausdorff_hulls"):
+        monkeypatch.setattr(INTEGRATE, dist, counted(getattr(INTEGRATE, dist), "distances"))
+    candidate = eval_mf(f, 0.0) if with_candidate else None
+    report = integrate(f, [uniform_partition(2 ** k) for k in range(1, 7)], candidate=candidate,
+                       delta_step=0.05 if name == "raw-pruned" else 0.0)
+    return report, calls
+
+
+@pytest.mark.parametrize("with_candidate", [True, False], ids=["candidate", "cauchy"])
+@pytest.mark.parametrize("name, repeats", REUSE_CASES)
+def test_rows_with_repeated_terms_reuse_sum_and_distance(monkeypatch, name, repeats,
+                                                         with_candidate):
+    report, calls = _integrate_counted(monkeypatch, name, with_candidate)
+    rows = len(report.rows)
+    if repeats:
+        # one sum, and one distance to the candidate (none between equal sums)
+        assert calls == {"sums": 1, "distances": int(with_candidate)}
+        assert len({r.distance for r in report.rows[1:]}) == 1
+        if not with_candidate:
+            assert [r.distance for r in report.rows[1:]] == [0.0] * (rows - 1)
+    else:
+        assert calls == {"sums": rows, "distances": rows - (not with_candidate)}
+
+
+@pytest.mark.parametrize("with_candidate", [True, False], ids=["candidate", "cauchy"])
+@pytest.mark.parametrize("name", [name for name, _ in REUSE_CASES])
+def test_reused_rows_report_what_computed_rows_report(monkeypatch, name, with_candidate):
+    reused, _ = _integrate_counted(monkeypatch, name, with_candidate)
+    monkeypatch.setattr(INTEGRATE, "_same_terms", lambda *args: False)
+    computed, calls = _integrate_counted(monkeypatch, name, with_candidate)
+    assert calls["sums"] == len(computed.rows)
+    assert json.dumps(reused.to_json()) == json.dumps(computed.to_json())
+    assert reused.to_csv() == computed.to_csv()
+    assert reused.verdict.status == computed.verdict.status
+    assert reused.verdict.limit.err_bound == computed.verdict.limit.err_bound
+    assert np.array_equal(reused.verdict.limit.base.points, computed.verdict.limit.base.points)
+
+
+def test_riemann_sum_is_sum_terms_of_riemann_terms():
+    f = _reuse_bodies()["hull-piecewise-off-grid"]
+    t = uniform_partition(8)
+    weights, counts, values = INTEGRATE.riemann_terms(f, t, hull=True)
+    assert counts == (3, 5) and weights == (0.375, 0.625)
+    assert values[0] is eval_mf(f, 0.0) and values[1] is eval_mf(f, 1.0)
+    s = INTEGRATE.sum_terms((weights, counts, values), hull=True)
+    assert np.array_equal(s.base.points, riemann_sum(f, t, hull=True).base.points)
+
+
+def test_same_terms_compares_weights_counts_and_value_bits():
+    space = l2(2)
+    a = PointSet(space, np.array([[0.0, 1.0], [2.0, 3.0]]))
+    copy = PointSet(space, a.points.copy())
+    signed = PointSet(space, np.array([[-0.0, 1.0], [2.0, 3.0]]))
+    same = INTEGRATE._same_terms
+    assert same(((0.5,), (2,), (a,)), ((0.5,), (2,), (copy,)))
+    assert not same(((0.5,), (2,), (a,)), ((0.5,), (3,), (a,)))
+    assert same(((0.5,), (2,), (a,)), ((0.5,), (3,), (a,)), hull=True)  # hull sums ignore counts
+    assert not same(((0.5,), (2,), (a,)), ((0.5 + 2 ** -53,), (2,), (a,)))
+    assert not same(((0.5,), (2,), (a,)), ((0.5, 0.5), (1, 1), (a, a)))
+    # equal as numbers, but a sum of -0.0 keeps its sign: not reused
+    assert a.same_set(signed) and not same(((0.5,), (2,), (a,)), ((0.5,), (2,), (signed,)))
+
+
+@pytest.mark.parametrize("with_candidate", [True, False], ids=["candidate", "cauchy"])
+@pytest.mark.parametrize("hull_tol", [0.0, -1e-8, float("nan")])
+def test_hull_rows_need_a_positive_hull_tol(hull_tol, with_candidate):
+    # also where no row measures a hull distance (one Cauchy row) or every
+    # later row reuses the first one's
+    f = hull_segment_mf()
+    candidate = eval_mf(f, 0.0) if with_candidate else None
+    for counts in ((2,), (2, 4, 8)):
+        with pytest.raises(InvalidArgumentError, match="hull_tol"):
+            integrate(f, [uniform_partition(n) for n in counts], candidate=candidate,
+                      hull_tol=hull_tol)
