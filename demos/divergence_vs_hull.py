@@ -10,14 +10,14 @@ program rather than by materializing the (huge) sums.
 
 from setint.counterexamples import (
     DIVERGENCE_BOUND,
-    L1CounterexampleConfig,
     l1_counterexample_bruteforce,
     l1_counterexample_lower_bound,
 )
+from setint.partition import CounterexampleL1
 
 print(f"{'n':>3} {'N':>4} {'parts':>6} {'lower bound':>12}")
 for n in range(2, 10):
-    cfg = L1CounterexampleConfig(n, 2 ** n - 1)
+    cfg = CounterexampleL1(n, 2 ** n - 1)
     lb = l1_counterexample_lower_bound(cfg)
     print(f"{n:>3} {cfg.trunc_dim:>4} {cfg.parts:>6} {lb:>12.6f}")
 
@@ -25,7 +25,7 @@ print()
 print(f"every bound exceeds the general threshold {DIVERGENCE_BOUND:.4f} (= 1/24)")
 print("and stays above 1: the raw sums never approach the simplex")
 
-cfg = L1CounterexampleConfig(3, 7)
+cfg = CounterexampleL1(3, 7)
 print()
 print("small-case cross-check against brute-force enumeration:")
 print("  closed form :", l1_counterexample_lower_bound(cfg))

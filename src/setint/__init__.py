@@ -15,7 +15,6 @@ from .balance import (
 )
 from .counterexamples import (
     DIVERGENCE_BOUND,
-    L1CounterexampleConfig,
     eps_orthogonality_check,
     hilbert_example_sum_norm,
     l1_counterexample_bruteforce,
@@ -37,13 +36,10 @@ from .integrate import (
     ConvergenceReport,
     Row,
     Verdict,
-    convexity_check,
     convexity_defect,
-    finite_rank_splitting,
     integrate,
     pushforward_check,
     riemann_sum,
-    sample_hull_sum,
 )
 from .partition import (
     Constant,

@@ -301,10 +301,11 @@ def _cmd_select(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     if args.family == "hilbert":
-        if args.random:
-            t = random_partition(args.partition, seed=_seed(args))
-        else:
-            t = uniform_partition(args.partition, "mid")
+        seed = _seed(args) if args.random else None
+        with schema_faults("--partition"):
+            # an interval count too large for an array is malformed, too
+            t = (random_partition(args.partition, seed=seed) if args.random
+                 else uniform_partition(args.partition, "mid"))
         value = cex.hilbert_example_sum_norm(t, distinct_tags=not args.shared_tags)
         out = {
             "sumNorm": value,
@@ -314,7 +315,7 @@ def _cmd_counterexample(args) -> int:
         }
         sys.stdout.write(_dump(out, args.json))
         return 0 if out["verdict"] == "converged" else 3
-    cfg = cex.L1CounterexampleConfig(args.n, args.N)
+    cfg = CounterexampleL1(args.n, args.N)
     bound = cex.l1_counterexample_lower_bound(cfg)
     out = {
         "bound": bound,

@@ -11,20 +11,19 @@
    simplex witness supported on K = 2**n - 1 coordinates.  This exceeds the
    general lower bound 1/24 and tends to 1.  Sums are never materialized:
    distances to them go through an integer program over atom counts, solved in
-   closed form and certified against a brute-force oracle.
+   closed form and certified against a brute-force oracle that enumerates the
+   count vectors through setops.minkowski_power.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError
 from .partition import CounterexampleL1, Multifunction, TaggedPartition
-from .setops import PointSet
+from .setops import PointSet, minkowski_power
 from .spaces import SpaceDescriptor
 
 #: The general-space lower bound from the divergence argument.
@@ -47,44 +46,15 @@ def hilbert_example_sum_norm(t: TaggedPartition, distinct_tags: bool = True) -> 
     return float(math.sqrt(float((w * w).sum())))
 
 
-@dataclass(frozen=True)
-class L1CounterexampleConfig:
-    """Partition exponent n (m = 2**(n-1) - 1 equal parts) and truncation
-    dimension N >= 2**n - 1 (so the witness fits)."""
-
-    n: int
-    trunc_dim: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidArgumentError("n must be >= 2")
-        if self.trunc_dim < self.witness_support:
-            raise InvalidArgumentError(
-                f"truncation dimension {self.trunc_dim} is below the witness "
-                f"support {self.witness_support}"
-            )
-
-    @property
-    def parts(self) -> int:
-        return 2 ** (self.n - 1) - 1
-
-    @property
-    def witness_support(self) -> int:
-        return 2 ** self.n - 1
-
-
-def l1_counterexample_eval(cfg: L1CounterexampleConfig) -> Multifunction:
+def l1_counterexample_eval(cfg: CounterexampleL1) -> Multifunction:
     """The constant multifunction whose value is the first N l1 basis vectors
     (unit norm bound, diameter 2)."""
-    space = SpaceDescriptor(cfg.trunc_dim, "l1")
-    return Multifunction(
-        space, CounterexampleL1(cfg.n, cfg.trunc_dim), bound_m=1.0, diam_bound=2.0
-    )
+    return Multifunction(SpaceDescriptor(cfg.trunc_dim, "l1"), cfg, bound_m=1.0, diam_bound=2.0)
 
 
-def simplex_generators(cfg: L1CounterexampleConfig) -> PointSet:
+def simplex_generators(cfg: CounterexampleL1) -> PointSet:
     """Generators of the value's hull: the probability simplex."""
-    return PointSet(SpaceDescriptor(cfg.trunc_dim, "l1"), np.eye(cfg.trunc_dim))
+    return cfg.generators(SpaceDescriptor(cfg.trunc_dim, "l1"))
 
 
 def witness_distance(n: int, trunc_dim: int, parts: int) -> float:
@@ -105,30 +75,25 @@ def witness_distance(n: int, trunc_dim: int, parts: int) -> float:
     return float(cost)
 
 
-def l1_counterexample_lower_bound(cfg: L1CounterexampleConfig) -> float:
+def l1_counterexample_lower_bound(cfg: CounterexampleL1) -> float:
     """Certified lower bound on the Hausdorff distance between the sum over
     the canonical partition and the simplex: the witness lies in the simplex,
     the sum inside it, so the point-to-sum distance bounds the set distance."""
     return witness_distance(cfg.n, cfg.trunc_dim, cfg.parts)
 
 
-def l1_counterexample_bruteforce(cfg: L1CounterexampleConfig, parts: int | None = None) -> float:
-    """Independent oracle: full enumeration of atom-count vectors."""
+def l1_counterexample_bruteforce(cfg: CounterexampleL1, parts: int | None = None) -> float:
+    """Independent oracle: the least l1 distance |y - c/m| from the witness y
+    over every count vector c of m basis vectors.  The count vectors are the
+    points of the m-fold Minkowski power of the basis vectors, enumerated by
+    setops.minkowski_power, which raises ResourceLimitError where there are
+    more than _ORACLE_CAP of them."""
     m = cfg.parts if parts is None else parts
-    n_coords = cfg.trunc_dim
-    n_vectors = math.comb(n_coords + m - 1, m)
-    if n_vectors > _ORACLE_CAP:
-        raise ResourceLimitError(
-            f"{n_vectors} count vectors exceed the oracle cap {_ORACLE_CAP}"
-        )
+    counts = minkowski_power(simplex_generators(cfg), m, limit=_ORACLE_CAP).points
     k = cfg.witness_support
-    y = np.zeros(n_coords)
+    y = np.zeros(cfg.trunc_dim)
     y[:k] = 1.0 / k
-    best = np.inf
-    for combo in itertools.combinations_with_replacement(range(n_coords), m):
-        counts = np.bincount(np.asarray(combo), minlength=n_coords)
-        best = min(best, float(np.abs(y - counts / m).sum()))
-    return best
+    return float(np.abs(y - counts / m).sum(axis=1).min())
 
 
 def reverse_orthogonality_constant(eps: float) -> float:
@@ -151,8 +116,9 @@ def eps_orthogonality_check(
     Samples random pairs supported on the blocks and measures the worst defect
     of ||e + g|| >= (1 - eps) ||e||.  Disjoint supports make the l1 norm
     additive, so the defect is zero and the reverse constant is 1/2.  Both
-    inequalities are asserted on every sample.  Blocks are half-open index
-    ranges.  Returns (eps_hat, reverse constant).
+    inequalities are asserted on every sample, with the defect measured so
+    far: the defect only grows, so this is the stricter test.  Blocks are
+    half-open index ranges.  Returns (eps_hat, reverse constant).
     """
     e0, e1 = block_e
     g0, g1 = block_g
@@ -161,28 +127,18 @@ def eps_orthogonality_check(
     if max(e0, g0) < min(e1, g1):
         raise InvalidArgumentError("blocks must be disjoint")
     rng = np.random.default_rng(seed)
-    eps_hat = 0.0
+    eps_hat, rev = 0.0, reverse_orthogonality_constant(0.0)
     for _ in range(samples):
         e = np.zeros(dim)
         g = np.zeros(dim)
         e[e0:e1] = rng.standard_normal(e1 - e0)
         g[g0:g1] = rng.standard_normal(g1 - g0)
         norm_e = np.abs(e).sum()
-        norm_g = np.abs(g).sum()
         norm_sum = np.abs(e + g).sum()
-        if norm_e > 0:
-            eps_hat = max(eps_hat, 1.0 - norm_sum / norm_e)
-    eps_hat = max(eps_hat, 0.0)
-    rev = reverse_orthogonality_constant(eps_hat)
-    # Re-verify both inequalities with the measured defect on a fresh stream.
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        e = np.zeros(dim)
-        g = np.zeros(dim)
-        e[e0:e1] = rng.standard_normal(e1 - e0)
-        g[g0:g1] = rng.standard_normal(g1 - g0)
-        norm_sum = np.abs(e + g).sum()
-        if norm_sum + 1e-12 < (1.0 - eps_hat) * np.abs(e).sum():
+        if norm_e > 0 and 1.0 - norm_sum / norm_e > eps_hat:
+            eps_hat = 1.0 - norm_sum / norm_e
+            rev = reverse_orthogonality_constant(eps_hat)
+        if norm_sum + 1e-12 < (1.0 - eps_hat) * norm_e:
             raise InvalidArgumentError("forward orthogonality inequality failed")
         if norm_sum + 1e-12 < rev * np.abs(g).sum():
             raise InvalidArgumentError("reverse orthogonality inequality failed")

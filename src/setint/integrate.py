@@ -1,5 +1,5 @@
-"""Riemann sums with a pruning ledger, limit detection, and the pushforward /
-convexity experiments.
+"""Riemann sums with a pruning ledger, limit detection, the pushforward check
+and the convexity defect of a limit.
 
 A Riemann sum accumulates scaled values left to right with Minkowski addition,
 pruning after every step with a fixed delta.  Pruning error is additive under
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .partition import (
     Multifunction,
     TaggedPartition,
     eval_mf_many,
-    inner_of,
     is_hull_semantics,
 )
 from .setops import (
@@ -329,22 +328,6 @@ def convexity_defect(limit: PrunedSet, hull_tol: float = 1e-8) -> tuple[float, f
     return hausdorff(limit.base, avg), hausdorff_hulls(limit.base, avg, hull_tol)
 
 
-def convexity_check(limit: PrunedSet, tol: float = 1e-6) -> float:
-    """Finite-set distance rho_H(limit, limit/2 + limit/2).
-
-    The hull-based distance must vanish within 2 * tol for any limit under
-    hull semantics; a violation raises.  The finite-set distance tends to 0
-    along refinements only when the limit really is (a discretization of) an
-    integral.
-    """
-    finite, hull = convexity_defect(limit, tol)
-    if hull > 2 * tol:
-        raise InvalidArgumentError(
-            f"hull-based convexity defect {hull} exceeds 2 * tol = {2 * tol}"
-        )
-    return finite
-
-
 def operator_norm(space_norm: str, p: np.ndarray) -> float:
     """Induced norm of matrix p when domain and codomain share a norm family."""
     p = np.asarray(p, dtype=float)
@@ -390,88 +373,3 @@ def pushforward_check(
     ok = all(r.distance <= r.prune_error + tol for r in rows)
     verdict = Verdict("converged" if ok else "inconclusive", None)
     return ConvergenceReport(tuple(rows), verdict)
-
-
-def sample_hull_sum(
-    f: Multifunction, t: TaggedPartition, n_samples: int, seed: int
-) -> np.ndarray:
-    """Sample points of S(conv F, T) as sums of per-interval random convex
-    combinations of the scaled values; rows are the sampled points."""
-    rng = np.random.default_rng(seed)
-    values = [val.points for val in eval_mf_many(inner_of(f), t.tags)]
-    widths = t.widths
-    out = np.zeros((n_samples, f.space.dim))
-    for w, pts in zip(widths, values):
-        lam = rng.dirichlet(np.ones(pts.shape[0]), size=n_samples)
-        out += w * (lam @ pts)
-    return out
-
-
-def finite_rank_splitting(
-    f: Multifunction,
-    rank: int,
-    t: TaggedPartition,
-    candidate: PointSet,
-    hull_tol: float = 1e-8,
-    n_samples: int = 64,
-    seed: int = 0,
-) -> dict:
-    """Finite-rank projection experiment.
-
-    Splits the space through the coordinate projection P onto the first
-    ``rank`` coordinates and its complement Q and measures four quantities
-    against the candidate A: the hull distance of the full sum to A, the raw
-    distance of the projected sum to P(A) (A-side sampled), the hull distance
-    of the complement parts, and how small Q is on A.  For a genuine integral
-    the (sampled) raw two-sided distance between the finite sum and the
-    candidate hull stays below four times the largest of the four.
-    """
-    from .setops import dist_point_to_hull, dist_point_to_set
-    from .spaces import SpaceDescriptor, norms
-
-    d = f.space.dim
-    if not 0 < rank < d:
-        raise InvalidArgumentError("rank must split the space nontrivially")
-    p = np.zeros((rank, d))
-    p[np.arange(rank), np.arange(rank)] = 1.0
-    q = np.zeros((d - rank, d))
-    q[np.arange(d - rank), rank + np.arange(d - rank)] = 1.0
-    sub_p = SpaceDescriptor(rank, f.space.norm)
-    sub_q = SpaceDescriptor(d - rank, f.space.norm)
-
-    rng = np.random.default_rng(seed)
-    lam = rng.dirichlet(np.ones(len(candidate)), size=n_samples)
-    sampled = lam @ candidate.points
-
-    s = riemann_sum(f, t).base
-    s_p = PointSet(sub_p, s.points @ p.T)
-    cand_p = PointSet(sub_p, candidate.points @ p.T)
-    eps_full = hausdorff_hulls(s, candidate, hull_tol)
-    # raw on the sum side: P(S) is a finite set, P(A) a hull
-    eps_p = max(
-        max(dist_point_to_hull(sub_p, x, cand_p, hull_tol)[0] for x in s_p.points),
-        max(dist_point_to_set(y, s_p) for y in sampled @ p.T),
-    )
-    eps_q = hausdorff_hulls(
-        PointSet(sub_q, s.points @ q.T), PointSet(sub_q, candidate.points @ q.T), hull_tol
-    )
-    # the rank must capture the candidate: sup over A of ||Qx||, attained at
-    # the generators by convexity of the norm
-    q_norm = float(norms(sub_q, candidate.points @ q.T).max())
-    eps = max(eps_full, eps_p, eps_q, q_norm)
-
-    # Two-sided distance between the finite sum and the candidate hull:
-    # sum points against the hull exactly, hull side sampled.
-    side_s = max(
-        dist_point_to_hull(f.space, x, candidate, hull_tol)[0] for x in s.points
-    )
-    side_a = max(dist_point_to_set(x, s) for x in sampled)
-    return {
-        "eps": eps,
-        "epsFull": eps_full,
-        "epsP": eps_p,
-        "epsQ": eps_q,
-        "qNorm": q_norm,
-        "distance": max(side_s, side_a),
-        "bound": 4.0 * eps if eps > 0 else 4.0 * hull_tol,
-    }

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError, schema_faults
+from .errors import ConfigError, InvalidArgumentError, ResourceLimitError, schema_faults
 from .setops import PointSet, point_sets
 from .spaces import SpaceDescriptor, norms, space_from_json, space_to_json
 
@@ -177,9 +177,16 @@ class ConvexHullOf:
     inner: "Multifunction"
 
 
+#: Largest truncation dimension N of the l1 counterexample whose N x N
+#: generator matrix is built (128 MB).
+L1_DIM_CAP = 4096
+
+
 @dataclass(frozen=True)
 class CounterexampleL1:
-    """Constant family of the first N l1 basis vectors (see counterexamples)."""
+    """Constant family of the first N l1 basis vectors (see counterexamples):
+    partition exponent n (m = 2**(n-1) - 1 equal parts) and truncation
+    dimension N >= 2**n - 1, so that the witness fits."""
 
     n: int
     trunc_dim: int
@@ -187,11 +194,28 @@ class CounterexampleL1:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidArgumentError("partition exponent n must be >= 2")
-        if self.trunc_dim < 2 ** self.n - 1:
+        if self.trunc_dim < self.witness_support:
             raise InvalidArgumentError(
-                f"truncation dimension must be >= 2**n - 1 = {2 ** self.n - 1} "
+                f"truncation dimension must be >= 2**n - 1 = {self.witness_support} "
                 "so the witness fits"
             )
+
+    @property
+    def parts(self) -> int:
+        return 2 ** (self.n - 1) - 1
+
+    @property
+    def witness_support(self) -> int:
+        return 2 ** self.n - 1
+
+    def generators(self, space: SpaceDescriptor) -> PointSet:
+        """The value's points, the first N basis vectors, in ``space``."""
+        if self.trunc_dim > L1_DIM_CAP:
+            raise ResourceLimitError(
+                f"truncation dimension {self.trunc_dim} is above the cap {L1_DIM_CAP} "
+                "of the N x N basis matrix"
+            )
+        return PointSet(space, np.eye(self.trunc_dim))
 
 
 Body = Constant | PiecewiseConstant | MovingFinite | ConvexHullOf | CounterexampleL1
@@ -250,7 +274,7 @@ def eval_mf_many(f: Multifunction, tags) -> list[PointSet]:
         vals = np.stack([_poly_eval(c, ts) for c in body.curves], axis=1)
         return point_sets(f.space, vals.reshape(-1, vals.shape[2]), [len(body.curves)] * len(ts))
     if isinstance(body, CounterexampleL1):
-        return [PointSet(f.space, np.eye(body.trunc_dim))] * len(ts)
+        return [body.generators(f.space)] * len(ts)
     raise InvalidArgumentError(f"unknown multifunction body {type(body).__name__}")
 
 

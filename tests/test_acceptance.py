@@ -21,7 +21,6 @@ from setint.balance import (
 )
 from setint.counterexamples import (
     DIVERGENCE_BOUND,
-    L1CounterexampleConfig,
     hilbert_example_sum_norm,
     l1_counterexample_bruteforce,
     l1_counterexample_eval,
@@ -32,6 +31,7 @@ from setint.integrate import integrate, riemann_sum
 from setint.partition import (
     Constant,
     ConvexHullOf,
+    CounterexampleL1,
     MovingFinite,
     Multifunction,
     halve_with_tags,
@@ -316,7 +316,7 @@ _CONV_SCHEDULES = {3: (2, 4), 4: (1, 2), 5: (1,), 6: (1,), 7: (1,), 8: (1,)}
 def criterion_10() -> dict:
     rows = {}
     for n in range(3, 9):
-        cfg = L1CounterexampleConfig(n, 2 ** (n + 1))
+        cfg = CounterexampleL1(n, 2 ** (n + 1))
         lb = l1_counterexample_lower_bound(cfg)
         inner = l1_counterexample_eval(cfg)
         f = _hullwrap(inner)
@@ -329,7 +329,7 @@ def criterion_10() -> dict:
         }
     oracle = {}
     for n, trunc in ((2, 3), (3, 7)):
-        cfg = L1CounterexampleConfig(n, trunc)
+        cfg = CounterexampleL1(n, trunc)
         oracle[str(n)] = {
             "closedForm": l1_counterexample_lower_bound(cfg),
             "bruteforce": l1_counterexample_bruteforce(cfg),

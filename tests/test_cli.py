@@ -411,6 +411,44 @@ def test_counterexample_l1_diverges_exit_2(tmp_path, capsys):
     assert out["convDistance"] <= 1e-8  # the value's hull is the simplex
 
 
+def _one_line(err: str, prefix: str) -> bool:
+    return err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["l1", "--n", "4", "--N", "40", "--bruteforce"],
+                 id="oracle-53524680-count-vectors"),
+    # never allocated: the cap is checked before the N x N basis matrix
+    pytest.param(["l1", "--n", "3", "--N", str(10 ** 10)], id="l1-dimension"),
+    pytest.param(["l1", "--n", "3", "--N", str(10 ** 10), "--bruteforce"],
+                 id="l1-dimension-oracle"),
+])
+def test_counterexample_past_a_cap_exits_resource(capsys, argv):
+    assert run(["counterexample", *argv]) == EXIT_RESOURCE
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert _one_line(cap.err, "resource limit: ")
+
+
+def test_integrate_counterexample_l1_past_the_dimension_cap_exits_resource(tmp_path, capsys):
+    n_dim = 10 ** 10  # never allocated
+    cfg = {"version": CONFIG_VERSION, "schedule": [3, 6],
+           "multifunction": {"space": {"dim": n_dim, "norm": "l1"}, "boundM": 1.0,
+                             "diamBound": 2.0,
+                             "body": {"kind": "counterexample_l1", "n": 3, "N": n_dim}}}
+    assert run(["integrate", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_RESOURCE
+    assert _one_line(capsys.readouterr().err, "resource limit: ")
+
+
+@pytest.mark.parametrize("extra", [[], ["--random"]], ids=["uniform", "random"])
+def test_counterexample_hilbert_partition_too_large_exits_schema(capsys, extra):
+    argv = ["counterexample", "hilbert", "--partition", str(10 ** 20), *extra]
+    assert run(argv) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert _one_line(cap.err, "error: ") and "--partition" in cap.err
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         run(["frobnicate"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from setint.counterexamples import (
     DIVERGENCE_BOUND,
-    L1CounterexampleConfig,
     eps_orthogonality_check,
     hilbert_example_sum_norm,
     l1_counterexample_bruteforce,
@@ -15,7 +15,7 @@ from setint.counterexamples import (
     simplex_generators,
     witness_distance,
 )
-from setint.errors import InvalidArgumentError
+from setint.errors import InvalidArgumentError, ResourceLimitError
 from setint.partition import (
     CounterexampleL1,
     TaggedPartition,
@@ -51,16 +51,16 @@ def test_hilbert_sum_norm_coincident_tags():
 
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
-        L1CounterexampleConfig(1, 10)
+        CounterexampleL1(1, 10)
     with pytest.raises(InvalidArgumentError):
-        L1CounterexampleConfig(3, 6)  # witness needs 2**3 - 1 = 7 coordinates
-    cfg = L1CounterexampleConfig(3, 7)
+        CounterexampleL1(3, 6)  # witness needs 2**3 - 1 = 7 coordinates
+    cfg = CounterexampleL1(3, 7)
     assert cfg.parts == 3
     assert cfg.witness_support == 7
 
 
 def test_eval_and_generators():
-    cfg = L1CounterexampleConfig(2, 3)
+    cfg = CounterexampleL1(2, 3)
     f = l1_counterexample_eval(cfg)
     assert isinstance(f.body, CounterexampleL1)
     assert f.space == l1(3)
@@ -89,7 +89,7 @@ def test_lower_bound_exceeds_reference_constant_and_stays_above_one():
     # closed form 2**n / (2**n - 1): decreases toward 1, so the distance
     # between sum and simplex never drops below 1 along the whole sequence
     for n in range(2, 12):
-        cfg = L1CounterexampleConfig(n, 2 ** n - 1)
+        cfg = CounterexampleL1(n, 2 ** n - 1)
         lb = l1_counterexample_lower_bound(cfg)
         assert lb > DIVERGENCE_BOUND
         assert lb > 1.0
@@ -98,17 +98,51 @@ def test_lower_bound_exceeds_reference_constant_and_stays_above_one():
 
 def test_bruteforce_oracle_agrees_with_closed_form():
     for n, trunc in ((2, 3), (3, 7)):
-        cfg = L1CounterexampleConfig(n, trunc)
+        cfg = CounterexampleL1(n, trunc)
         assert l1_counterexample_bruteforce(cfg) == pytest.approx(
             l1_counterexample_lower_bound(cfg), abs=1e-12
         )
 
 
 def test_bruteforce_oracle_varied_parts():
-    cfg = L1CounterexampleConfig(2, 3)
+    cfg = CounterexampleL1(2, 3)
     for parts in (1, 2, 3, 4, 6):
         got = l1_counterexample_bruteforce(cfg, parts=parts)
         assert got == pytest.approx(witness_distance(2, 3, parts), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, trunc, parts", [
+    (2, 3, None), (3, 7, None), (3, 16, None), (4, 15, None),
+    (2, 3, 1), (2, 3, 2), (2, 3, 4), (2, 3, 6),
+])
+def test_bruteforce_oracle_matches_a_loop_over_count_vectors(n, trunc, parts):
+    # the count vectors one multiset of basis vectors at a time, bit for bit
+    cfg = CounterexampleL1(n, trunc)
+    m = cfg.parts if parts is None else parts
+    y = np.zeros(trunc)
+    y[:cfg.witness_support] = 1.0 / cfg.witness_support
+    want = min(
+        float(np.abs(y - np.bincount(combo, minlength=trunc) / m).sum())
+        for combo in itertools.combinations_with_replacement(range(trunc), m)
+    )
+    assert l1_counterexample_bruteforce(cfg, parts=parts) == want
+
+
+def test_bruteforce_oracle_cap():
+    # C(21 + 7 - 1, 7) = 888,030 count vectors pass the cap of 10**6;
+    # C(22 + 7 - 1, 7) = 1,184,040 do not
+    assert math.comb(21 + 6, 7) <= 10 ** 6 < math.comb(22 + 6, 7)
+    with pytest.raises(ResourceLimitError):
+        l1_counterexample_bruteforce(CounterexampleL1(4, 22))
+
+
+def test_generators_dimension_cap():
+    big = CounterexampleL1(3, 10 ** 10)  # never allocated
+    with pytest.raises(ResourceLimitError):
+        big.generators(l1(big.trunc_dim))
+    with pytest.raises(ResourceLimitError):
+        simplex_generators(big)
+    assert l1_counterexample_lower_bound(big) == witness_distance(3, 7, 3)
 
 
 def test_reverse_orthogonality_constant():

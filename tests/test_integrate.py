@@ -11,14 +11,11 @@ import pytest
 from setint.errors import InvalidArgumentError, ResourceLimitError
 from setint.integrate import (
     ConvergenceReport,
-    convexity_check,
     convexity_defect,
-    finite_rank_splitting,
     integrate,
     operator_norm,
     pushforward_check,
     riemann_sum,
-    sample_hull_sum,
 )
 from setint.partition import (
     Constant,
@@ -329,7 +326,6 @@ def test_convexity_defect_and_check():
     finite, hull = convexity_defect(s)
     assert hull <= 1e-8
     assert finite > 0.01  # the 9-point set is not its own half-sum
-    assert convexity_check(s) == finite
 
 
 def test_operator_norm_families():
@@ -362,37 +358,6 @@ def test_pushforward_with_pruning_within_budget():
 def test_pushforward_shape_mismatch():
     with pytest.raises(InvalidArgumentError):
         pushforward_check(segment_mf(), np.ones((2, 3)), [uniform_partition(2)])
-
-
-def test_sample_hull_sum_inside_box():
-    f = hull_segment_mf(l2(2))
-    t = uniform_partition(4)
-    pts = sample_hull_sum(f, t, 50, seed=0)
-    assert pts.shape == (50, 2)
-    assert np.all(pts[:, 0] >= -1e-12) and np.all(pts[:, 0] <= 1 + 1e-12)
-    assert np.allclose(pts[:, 1], 0.0)
-
-
-def test_sample_hull_sum_deterministic():
-    f = hull_segment_mf(l2(2))
-    t = uniform_partition(4)
-    a = sample_hull_sum(f, t, 20, seed=5)
-    b = sample_hull_sum(f, t, 20, seed=5)
-    assert np.array_equal(a, b)
-
-
-def test_finite_rank_splitting_genuine_integral():
-    # nearly flat triangle: the rank-1 projection captures the candidate up
-    # to qNorm = 0.05 and the claimed 4x bound holds at a nontrivial level
-    space = l2(2)
-    pts = PointSet(space, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.05]]))
-    inner = Multifunction(space, Constant(pts), bound_m=2.0, diam_bound=2.0)
-    f = Multifunction(space, ConvexHullOf(inner), bound_m=2.0, diam_bound=2.0)
-    out = finite_rank_splitting(f, 1, uniform_partition(16), pts, n_samples=48)
-    assert out["eps"] == max(out["epsFull"], out["epsP"], out["epsQ"], out["qNorm"])
-    assert out["qNorm"] == 0.05
-    assert out["distance"] <= out["bound"]
-    assert out["distance"] > 0.0  # the raw sum is a proper subset of the hull
 
 
 def test_integrate_witness_mode_diverges():
