@@ -10,7 +10,8 @@ Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
 1 when a solver fails to certify; 64 on schema or argument violations (a
 non-finite or negative tol, hull tolerance or pruning radius among them, a
 zero hull tolerance for a hull body, and convexity of a body whose limit is
-never built); 70 on resource limits.
+never built); 70 on resource limits, an allocation that runs out of memory
+among them.
 """
 
 from __future__ import annotations
@@ -234,14 +235,22 @@ def _load_vectors(path: str):
     obj = _read_json(path)
     with schema_faults("vectors"):
         if isinstance(obj, dict):
-            return space_from_json(obj["space"]), np.asarray(obj["vectors"], dtype=float)
-        return None, np.asarray(obj, dtype=float)
+            space, xs = space_from_json(obj["space"]), np.asarray(obj["vectors"], dtype=float)
+        else:
+            space, xs = None, np.asarray(obj, dtype=float)
+    if xs.ndim != 2:
+        raise InvalidArgumentError(f"vectors must be a 2-D array, got shape {xs.shape}")
+    return space, xs
 
 
 def _cmd_balance(args) -> int:
     space, xs = _load_vectors(args.vectors)
     if space is None:
-        infratype = tuple(float(x) for x in args.infratype.split(",")) if args.infratype else None
+        infratype = None
+        if args.infratype:
+            with schema_faults("--infratype"):
+                p, c = (float(x) for x in args.infratype.split(","))
+            infratype = (p, c)
         space = SpaceDescriptor(xs.shape[1], args.norm, infratype)
     if args.mode == "exact":
         signs, value = bal.sign_balance_exact(xs, space)
@@ -423,8 +432,8 @@ def run(argv=None) -> int:
     except (InvalidArgumentError, ConfigError, UnsupportedOperationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"resource limit: {exc}\n")
+    except (ResourceLimitError, MemoryError) as exc:
+        sys.stderr.write(f"resource limit: {str(exc) or 'out of memory'}\n")
         return EXIT_RESOURCE
     except SolverFailureError as exc:
         sys.stderr.write(f"solver failure: {exc} (value={exc.value}, gap={exc.gap})\n")

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .partition import CounterexampleL1, Multifunction, TaggedPartition
 from .setops import PointSet, minkowski_power
 from .spaces import SpaceDescriptor
@@ -86,10 +86,19 @@ def l1_counterexample_bruteforce(cfg: CounterexampleL1, parts: int | None = None
     """Independent oracle: the least l1 distance |y - c/m| from the witness y
     over every count vector c of m basis vectors.  The count vectors are the
     points of the m-fold Minkowski power of the basis vectors, enumerated by
-    setops.minkowski_power, which raises ResourceLimitError where there are
-    more than _ORACLE_CAP of them."""
+    setops.minkowski_power; ResourceLimitError is raised where there are more
+    than _ORACLE_CAP of them."""
     m = cfg.parts if parts is None else parts
-    counts = minkowski_power(simplex_generators(cfg), m, limit=_ORACLE_CAP).points
+    if m < 1:
+        raise InvalidArgumentError("parts must be a positive integer")
+    gens = simplex_generators(cfg)
+    vectors = math.comb(cfg.trunc_dim + m - 1, m)
+    if vectors > _ORACLE_CAP:
+        raise ResourceLimitError(
+            f"the brute-force oracle would enumerate {vectors} count vectors "
+            f"(limit {_ORACLE_CAP}); lower N or n"
+        )
+    counts = minkowski_power(gens, m, limit=_ORACLE_CAP).points
     k = cfg.witness_support
     y = np.zeros(cfg.trunc_dim)
     y[:k] = 1.0 / k

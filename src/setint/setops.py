@@ -4,9 +4,10 @@ oracles with certificates, and error-controlled pruning.
 Bounded sets are represented as finite point clouds; the convex hull of a set
 is represented implicitly by the same generators, and every hull query goes
 through a distance oracle (no facet or vertex enumeration anywhere).  The l2
-oracle is a min-norm-point iteration; l1 and linf solve a small LP with HiGHS
-(``scipy.optimize.linprog``) and certify it by the dual bound of its
-marginals.
+oracle finds the min-norm point with one Lawson-Hanson NNLS solve
+(``scipy.optimize.nnls``) and certifies it by its Frank-Wolfe gap; l1 and
+linf solve a small LP with HiGHS (``scipy.optimize.linprog``) and certify it
+by the dual bound of its marginals.
 
 Nearest-neighbour queries (finite Hausdorff distances, the delta-net of
 ``prune`` and the generator fast path of hull queries) go through a k-d tree,
@@ -43,6 +44,10 @@ _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_to
 
 #: Minkowski exponent of each norm family, as cKDTree takes it.
 _KDTREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
+
+#: Iteration cap of the l2 hull NNLS solve, per generator (scipy's default
+#: is 3).
+_NNLS_ITER_PER_GENERATOR = 50
 
 
 def _canonicalize(points: np.ndarray) -> np.ndarray:
@@ -357,10 +362,10 @@ def dist_point_to_hull(space: SpaceDescriptor, x, a: PointSet, tol: float = 1e-8
     """Distance from x to conv(a), with a certificate.
 
     Returns (value, gap) with value - gap <= exact <= value and gap <= tol.
-    For the l2 norm a conditional-gradient (Gilbert-style) iteration with away
-    steps and a duality-gap stopping certificate is used; for l1/linf the
-    problem reduces exactly to a small LP solved by HiGHS, whose dual
-    marginals give the lower bound.  Raises SolverFailureError when the
+    For the l2 norm one NNLS solve gives the min-norm convex combination,
+    certified by its Frank-Wolfe duality gap; for l1/linf the problem reduces
+    exactly to a small LP solved by HiGHS, whose dual marginals give the
+    lower bound.  Raises SolverFailureError when the solver fails or the
     certificate misses tol.
     """
     if not tol > 0:
@@ -376,72 +381,47 @@ def dist_point_to_hull(space: SpaceDescriptor, x, a: PointSet, tol: float = 1e-8
     return _hull_dist_lp(space, x, a.points, tol)
 
 
-def _hull_dist_l2(x: np.ndarray, pts: np.ndarray, tol: float, max_iter: int = 10_000):
-    """Min-norm-point iteration on the shifted generators p_i = a_i - x.
+def _hull_dist_l2(x: np.ndarray, pts: np.ndarray, tol: float):
+    """The distance from x to conv(pts) in l2, from one Lawson-Hanson NNLS
+    solve (``scipy.optimize.nnls``), certified by a Frank-Wolfe gap.
 
-    Major cycles add the conditional-gradient vertex to a corral, minor cycles
-    re-solve the affine minimum over the corral and drop atoms that would go
-    negative; on a quadratic this terminates after finitely many corral
-    changes.  The gap g = <y, y - p_s> bounds f(y) - f* for f = 1/2 ||.||^2,
-    hence value - exact <= 2 g / value; that quotient is the certificate.
-
-    The iteration runs on p / unit (see _pow2_unit), and the value and the
-    certificate are scaled back by the same exact factor.
+    With Q the rows pts - x, divided by unit (see _pow2_unit), the minimum of
+    ||Q^T mu||^2 + (1^T mu - 1)^2 over mu >= 0 is attained at s * lam*, where
+    lam* is the min-norm convex combination of the rows and s > 0; so
+    lam = mu / sum(mu) needs no penalty weight.  From y = lam Q, the gap
+    g = y.y - min_i Q_i.y bounds f(y) - f* for f = 1/2 ||.||^2, hence
+    value - exact <= 2 g / value; that quotient is the certificate.  Value
+    and certificate are scaled back by the same exact factor.
     """
-    p = pts - x
-    unit = _pow2_unit(p)
-    p = p / unit
-    start = int(np.argmin((p * p).sum(axis=1)))
-    idx = [start]
-    w = np.array([1.0])
-    value = cert = None
-    for _ in range(max_iter):
-        y = w @ p[idx]
-        norm = float(np.linalg.norm(y))
-        scores = p @ y
-        s_idx = int(np.argmin(scores))
-        gap = float(y @ y - scores[s_idx])
-        value = unit * norm
-        cert = unit * min(norm, 2.0 * gap / norm) if norm > 0 else 0.0
-        if value <= 1e-14 or cert <= tol:
-            return max(value, 0.0), max(cert, 0.0)
-        if s_idx in idx:
-            raise SolverFailureError(
-                "hull-distance iteration stalled on a corral above tol",
-                value=value,
-                gap=cert,
-            )
-        idx.append(s_idx)
-        w = np.append(w, 0.0)
-        while True:
-            a = p[idx]
-            k = len(idx)
-            # affine minimizer over the corral: KKT system of
-            # min ||v @ a|| subject to sum v = 1 (signs free)
-            lhs = np.zeros((k + 1, k + 1))
-            lhs[:k, :k] = a @ a.T
-            lhs[:k, k] = 1.0
-            lhs[k, :k] = 1.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            v = np.linalg.lstsq(lhs, rhs, rcond=None)[0][:k]
-            if np.all(v >= -1e-12):
-                w = np.clip(v, 0.0, None)
-                w /= w.sum()
-                break
-            neg = np.where(v < 0)[0]
-            theta = float((w[neg] / (w[neg] - v[neg])).min())
-            w = (1.0 - theta) * w + theta * v
-            keep = w > 1e-14
-            keep[neg[np.argmin(w[neg] / (w[neg] - v[neg]))]] = False
-            idx = [j for j, k_ in zip(idx, keep) if k_]
-            w = w[keep]
-            w /= w.sum()
-    raise SolverFailureError(
-        "hull-distance iteration did not certify within the iteration cap",
-        value=value,
-        gap=cert,
-    )
+    # Imported here, as linprog is in _hull_dist_lp.
+    from scipy.optimize import nnls
+
+    q = pts - x
+    unit = _pow2_unit(q)
+    q = q / unit
+    system = np.vstack([q.T, np.ones(len(q))])
+    rhs = np.zeros(len(system))
+    rhs[-1] = 1.0
+    try:
+        mu = nnls(system, rhs, maxiter=_NNLS_ITER_PER_GENERATOR * len(q))[0]
+    except RuntimeError as exc:  # nnls's iteration cap
+        mu, why = np.zeros(len(q)), f"l2 hull NNLS failed: {exc}"
+    else:
+        why = "l2 hull NNLS returned no convex combination"
+    total = float(mu.sum())
+    if not 0 < total < math.inf:
+        # no combination to certify: the nearest generator's distance is an
+        # upper bound, and 0 the only lower bound
+        nearest = unit * math.sqrt(float((q * q).sum(axis=1).min()))
+        raise SolverFailureError(why, value=nearest, gap=nearest)
+    y = (mu / total) @ q
+    norm = float(np.linalg.norm(y))
+    gap = float(y @ y - (q @ y).min())
+    value = unit * norm
+    cert = unit * min(norm, 2.0 * gap / norm) if norm > 0 else 0.0
+    if value <= 1e-14 or cert <= tol:
+        return max(value, 0.0), max(cert, 0.0)
+    raise SolverFailureError("l2 hull certificate exceeds tol", value=value, gap=cert)
 
 
 def _hull_dist_lp(space: SpaceDescriptor, x: np.ndarray, pts: np.ndarray, tol: float):

@@ -146,6 +146,25 @@ def test_integrate_json_matches_recorded_output(tmp_path, name):
     assert jpath.read_text() == (GOLDEN / f"{name}.out.json").read_text()
 
 
+def _nnls_hits_its_cap(*args, **kwargs):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+def _nnls_returns_zeros(a, b, **kwargs):
+    return np.zeros(a.shape[1]), float(np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("nnls", [_nnls_hits_its_cap, _nnls_returns_zeros])
+def test_l2_hull_solver_failure_exits_1_with_one_line(monkeypatch, capsys, nnls):
+    monkeypatch.setattr("scipy.optimize.nnls", nnls)
+    argv = ["integrate", "--config", str(GOLDEN / "piecewise_hull_l2.config.json")]
+    assert run(argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert _one_line(cap.err, "solver failure: l2 hull NNLS ")
+    assert "nan" not in cap.err and "None" not in cap.err
+
+
 def test_schedule_override(tmp_path):
     cfg = triangle_config(tmp_path)
     jpath = tmp_path / "out.json"
@@ -236,6 +255,7 @@ def test_convexity_of_the_l1_counterexample_exit_schema(tmp_path, capsys):
     pytest.param("integrate", "--config", triangle_cfg(candidate="abc"), id="candidate-not-numbers"),
     pytest.param("balance", "--vectors", {"space": {"dim": 2, "norm": "l2"}, "vectors": "abc"},
                  id="vectors-not-numbers"),
+    pytest.param("balance", "--vectors", [1.0, 2.0], id="vectors-one-dimensional"),
     pytest.param("select", "--problem",
                  {"sets": [[[0.0, 0.0], [1.0, 0.0]]], "targets": [[0.5, 0.0]]},
                  id="select-without-space"),
@@ -357,6 +377,13 @@ def test_balance_command(tmp_path, capsys):
     assert len(out["signs"]) == 3
 
 
+@pytest.mark.parametrize("infratype", ["abc", "2"])
+def test_balance_malformed_infratype_exit_schema(tmp_path, capsys, infratype):
+    vecs = write_json(tmp_path, "v.json", [[1.0, 0.0], [0.0, 1.0]])
+    assert run(["balance", "--vectors", vecs, "--infratype", infratype]) == EXIT_SCHEMA
+    assert _one_line(capsys.readouterr().err, "error: ")
+
+
 def test_balance_resource_cap_exit_70(tmp_path):
     vecs = tmp_path / "v.json"
     vecs.write_text(json.dumps([[1.0, 0.0]] * 30))
@@ -428,6 +455,24 @@ def test_counterexample_past_a_cap_exits_resource(capsys, argv):
     cap = capsys.readouterr()
     assert cap.out == ""
     assert _one_line(cap.err, "resource limit: ")
+    assert "prune" not in cap.err  # these have no operand to prune
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["counterexample", "hilbert", "--partition", "1000000000"], id="hilbert"),
+    pytest.param(["integrate", "--schedule", "1000000000"], id="integrate"),
+])
+def test_out_of_memory_exits_resource(tmp_path, monkeypatch, capsys, argv):
+    def no_memory(*args, **kwargs):  # nothing is allocated for real
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr("setint.cli.uniform_partition", no_memory)
+    if argv[0] == "integrate":
+        argv = [*argv, "--config", triangle_config(tmp_path)]
+    assert run(argv) == EXIT_RESOURCE
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "resource limit: Unable to allocate 7.45 GiB\n"
 
 
 def test_integrate_counterexample_l1_past_the_dimension_cap_exits_resource(tmp_path, capsys):

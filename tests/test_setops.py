@@ -1,6 +1,8 @@
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,13 +221,67 @@ def test_hull_l2_far_points_stay_finite(x, exact):
 
 def test_hull_l2_stalled_corral_raises():
     # At the optimum the duality gap is rounding noise (about 1e-15), so a
-    # tol below it stalls on the optimal corral, which must not pass for a
-    # certified answer.
+    # tol below it cannot be certified, and the answer must not pass for a
+    # certified one.
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(SolverFailureError, match="stalled") as info:
+    with pytest.raises(SolverFailureError, match="certificate exceeds tol") as info:
         _hull_dist_l2(np.array([1.0, 1.0]), tri, tol=1e-300)
     assert info.value.value == pytest.approx(SQ2 / 2, rel=1e-12)
     assert 1e-300 < info.value.gap <= 1e-12
+
+
+def _nnls_hits_its_cap(*args, **kwargs):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+def _nnls_returns_zeros(a, b, **kwargs):
+    return np.zeros(a.shape[1]), float(np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("nnls", [_nnls_hits_its_cap, _nnls_returns_zeros])
+def test_hull_l2_nnls_failure_raises_with_a_finite_bracket(monkeypatch, nnls):
+    # no convex combination to certify: the error carries the nearest
+    # generator's distance, an upper bound, with the trivial lower bound 0
+    monkeypatch.setattr("scipy.optimize.nnls", nnls)
+    tri = ps(l2(2), [[0, 0], [1, 0], [0, 1]])
+    with pytest.raises(SolverFailureError, match="l2 hull NNLS") as info:
+        dist_point_to_hull(l2(2), [1, 1], tri)
+    assert info.value.value == info.value.gap == 1.0
+
+
+def _exact_hull_dist_l2_2d(x, pts) -> float:
+    """The l2 distance from a point outside conv(pts) in the plane: the least
+    distance to a segment between two generators, squared in exact rational
+    arithmetic, with one decimal square root at the end."""
+    x = [Fraction(c) for c in x]
+    pts = [[Fraction(c) for c in p] for p in pts]
+    best = None
+    for a, b in itertools.combinations_with_replacement(pts, 2):
+        d = [b[0] - a[0], b[1] - a[1]]
+        dd = d[0] * d[0] + d[1] * d[1]
+        t = 0 if dd == 0 else ((x[0] - a[0]) * d[0] + (x[1] - a[1]) * d[1]) / dd
+        t = min(max(t, Fraction(0)), Fraction(1))
+        r = [x[0] - a[0] - t * d[0], x[1] - a[1] - t * d[1]]
+        sq = r[0] * r[0] + r[1] * r[1]
+        best = sq if best is None else min(best, sq)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float((Decimal(best.numerator) / Decimal(best.denominator)).sqrt())
+
+
+def test_hull_dist_l2_matches_exact_distances():
+    rng = np.random.default_rng(19)
+    space = l2(2)
+    for _ in range(25):
+        pts = rng.standard_normal((int(rng.integers(2, 9)), 2))
+        # x lies beyond every generator in the direction u, so outside the hull
+        u = rng.standard_normal(2)
+        u /= np.linalg.norm(u)
+        reach = float((pts @ u).max()) + rng.uniform(0.01, 2.0)
+        x = reach * u + rng.uniform(-2.0, 2.0) * np.array([-u[1], u[0]])
+        value, gap = dist_point_to_hull(space, x, ps(space, pts))
+        assert value == pytest.approx(_exact_hull_dist_l2_2d(x, pts), abs=1e-14, rel=0)
+        assert 0.0 <= gap <= 1e-8
 
 
 def _dense_hull_oracle(space, x, a, grid=40):
