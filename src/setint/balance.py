@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 from .partition import Multifunction, TaggedPartition, eval_mf_many, inner_of
 from .setops import PointSet, dist_point_to_hull
-from .spaces import SpaceDescriptor, norm, norms
+from .spaces import SpaceDescriptor, check_infratype_exponent, norm, norms
 
 #: Enumeration caps (sub-minute desk-scale runs).
 MAX_EXACT_VECTORS = 24
@@ -106,11 +106,12 @@ def estimate_infratype_constant(
     space: SpaceDescriptor, p: float, trials: int, n_max: int, seed: int
 ) -> float:
     """Max infratype ratio over seeded random families: a certified lower
-    bound on the best constant for (space, p).
+    bound on the best constant for (space, p), 1 < p <= 2.
 
     Stream order: the standard basis family first (the canonical witness),
     then ``trials`` Gaussian families of size drawn from [2, n_max].
     """
+    check_infratype_exponent(p)
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     if not 2 <= n_max <= MAX_EXACT_VECTORS:

@@ -8,10 +8,12 @@ byte-identity).
 
 Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
 1 when a solver fails to certify; 64 on schema or argument violations (a
-non-finite or negative tol, hull tolerance or pruning radius among them, a
-zero hull tolerance for a hull body, and convexity of a body whose limit is
-never built); 70 on resource limits, an allocation that runs out of memory
-among them.
+non-finite or negative tol, hull tolerance, pruning radius or declared bound
+among them, an infratype exponent outside (1, 2], a zero hull tolerance for
+a hull body, convexity of a body whose limit is never built, and an output
+path that cannot be written); 70 on resource limits (a schedule or partition
+of more than partition.MAX_INTERVALS intervals, and an allocation that runs
+out of memory, among them).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
 )
 from .partition import (
     CounterexampleL1,
+    check_interval_count,
     eval_mf,
     mf_from_json,
     random_partition,
@@ -56,11 +59,18 @@ EXIT_RESOURCE = 70
 CONFIG_VERSION = "v1"
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc}") from exc
+
+
 def _dump(obj, path=None):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, text)
     return text
 
 
@@ -131,7 +141,7 @@ def _build_schedule(cfg, args):
     seed = cfg["seed"] if getattr(args, "seed", None) is None else args.seed
     with schema_faults("schedule"):
         counts = _schedule_counts(raw)
-        # an interval count too large for an array is malformed, too
+        check_interval_count(sum(n for n in counts if n > 0), "a schedule")
         return [uniform_partition(n, tag_rule, seed=None if tag_rule != "random" else seed + i)
                 for i, n in enumerate(counts)]
 
@@ -167,8 +177,7 @@ def _report_outputs(report, args):
     payload = report.to_json(timings=args.timings)
     text = _dump(payload, args.json)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv(timings=args.timings))
+        _write(args.csv, report.to_csv(timings=args.timings))
     return text
 
 
@@ -312,7 +321,6 @@ def _cmd_counterexample(args) -> int:
     if args.family == "hilbert":
         seed = _seed(args) if args.random else None
         with schema_faults("--partition"):
-            # an interval count too large for an array is malformed, too
             t = (random_partition(args.partition, seed=seed) if args.random
                  else uniform_partition(args.partition, "mid"))
         value = cex.hilbert_example_sum_norm(t, distinct_tags=not args.shared_tags)

@@ -78,6 +78,20 @@ def _pick_tags(lo: np.ndarray, hi: np.ndarray, tag_rule: str, seed=None) -> np.n
     raise InvalidArgumentError(f"tag rule must be one of {TAG_RULES}, got {tag_rule!r}")
 
 
+#: Most intervals of one partition, and of all the partitions of a schedule
+#: together: 2^24 intervals' breakpoints and tags take 256 MB.  Counts are
+#: checked against it before any array is built, because numpy's lazily
+#: backed arrays can pass allocation and then exhaust memory.
+MAX_INTERVALS = 2**24
+
+
+def check_interval_count(n: int, what: str = "a partition") -> None:
+    """Raise ResourceLimitError when n intervals are above MAX_INTERVALS."""
+    if n > MAX_INTERVALS:
+        # n itself may have too many digits to print
+        raise ResourceLimitError(f"{what} has more than the cap of {MAX_INTERVALS} intervals")
+
+
 def _uniform_breakpoints(n: int) -> np.ndarray:
     return np.arange(n + 1, dtype=float) / n
 
@@ -85,12 +99,14 @@ def _uniform_breakpoints(n: int) -> np.ndarray:
 def uniform_partition(n: int, tag_rule: str = "mid", seed=None) -> TaggedPartition:
     if n < 1:
         raise InvalidArgumentError("need at least one interval")
+    check_interval_count(n)
     bp = _uniform_breakpoints(n)
     return TaggedPartition(bp, _pick_tags(bp[:-1], bp[1:], tag_rule, seed))
 
 
 def random_partition(n: int, seed=None) -> TaggedPartition:
     """Random breakpoints (sorted uniforms) with random tags; for sampling."""
+    check_interval_count(n)
     rng = np.random.default_rng(seed)
     inner = np.sort(rng.random(n - 1)) if n > 1 else np.empty(0)
     bp = np.concatenate(([0.0], inner, [1.0]))
@@ -229,8 +245,11 @@ class Multifunction:
     diam_bound: float
 
     def __post_init__(self):
-        if self.bound_m < 0 or self.diam_bound < 0:
-            raise InvalidArgumentError("declared bounds must be nonnegative")
+        for key, bound in (("boundM", self.bound_m), ("diamBound", self.diam_bound)):
+            if not 0 <= bound < np.inf:  # NaN fails too
+                raise InvalidArgumentError(
+                    f'declared bound "{key}" must be finite and nonnegative, got {bound}'
+                )
 
 
 def is_hull_semantics(f: Multifunction) -> bool:

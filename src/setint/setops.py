@@ -13,10 +13,13 @@ Nearest-neighbour queries (finite Hausdorff distances, the delta-net of
 ``prune`` and the generator fast path of hull queries) go through a k-d tree,
 ``scipy.spatial.cKDTree``, whose Minkowski exponents p = 1, 2 and infinity are
 exactly the l1, l2 and linf norms.  A finite Hausdorff distance queries the
-larger cloud against a tree of the smaller one.  Each answer also bounds its
-nearest smaller point's distance to the larger cloud by the maximum so far,
-so only the smaller points that are no larger point's nearest query a tree
-of the larger cloud.
+larger cloud against a tree of the smaller one, and each answer bounds its
+nearest smaller point's distance to the larger cloud; only the smaller
+points left unbounded query a tree of the larger cloud.  Above
+_TWO_LEVEL_ROWS points a second level of grid cells, sized by a sampled
+lower bound on the distance, settles most points of both clouds by numpy
+distances to one representative per cell, and only the rest query a tree.
+The result is the same float either way.
 """
 
 from __future__ import annotations
@@ -313,30 +316,130 @@ def one_sided_hausdorff(a: PointSet, b: PointSet) -> float:
     return float(_min_dists_to(a.points, b.points, a.space).max())
 
 
+#: hausdorff settles the rows of a larger cloud of at least this many rows by
+#: grid cells (see _settle_by_cells).  Per pair of consecutive raw Riemann
+#: sums of a constant body (medians over 8 random bodies, 2-vCPU Xeon), the
+#: cells cut 20,349 rows against 1,287 in 2-D from 7.7-10.3 ms to 2.8 ms,
+#: but made 6,545 rows against 969 in 3-D slower (l2: 3.5 -> 4.0 ms).
+_TWO_LEVEL_ROWS = 8192
+
+#: About this many evenly spaced larger rows are queried first; the largest
+#: of their distances is the lower bound that sizes the cells.
+_LOWER_SAMPLE = 64
+
+#: A numpy distance at most _SETTLE times a bound puts the cKDTree distance
+#: of the same two rows below that bound: the two sum the same terms in other
+#: orders, which moves the sum by a few units in 1e-16.  Below _MIN_LOWER, or
+#: at an infinite distance, l2 squares leave the normal range, where that
+#: fails, and the cells are not used.
+_SETTLE = 1 - 1e-12
+_MIN_LOWER = 1e-140
+
+
 def hausdorff(a: PointSet, b: PointSet) -> float:
     """max(one_sided_hausdorff(a, b), one_sided_hausdorff(b, a)), bit for bit,
     usually from one k-d tree.
 
-    The tree holds the smaller cloud (a on a tie), and every row of the
-    larger cloud queries it; the largest of those distances is the larger
-    cloud's side.  A larger row's distance also bounds its nearest smaller
-    row's distance to the larger cloud from above (cKDTree's p = 1, 2 and
-    infinity distances are symmetric bit for bit), and that bound is at most
-    the maximum so far.  So only the smaller rows that are no larger row's
-    nearest can raise it: those rows alone query a tree of the larger cloud,
-    built only when some exist.  Consecutive Riemann sums nearly nest, and
-    few rows stay open.
+    The tree holds the smaller cloud (a on a tie), and the larger cloud's
+    side is the largest distance from one of its rows to that tree.  A row
+    whose distance is bounded below a distance already found cannot raise
+    it and is settled without a query: below _TWO_LEVEL_ROWS larger rows no
+    row is settled, and every row queries the tree; above, grid cells settle
+    most rows (see _settle_by_cells).  A queried row's nearest smaller row,
+    and the smaller row whose distance settled a row, lie within the maximum
+    of the larger rows (cKDTree's p = 1, 2 and infinity distances are
+    symmetric bit for bit), and so does that smaller row's distance to the
+    larger cloud.  So only the other smaller rows can raise the maximum: the
+    cells may settle them too, and the rest alone query a tree of the larger
+    cloud, built only when some exist.  Consecutive Riemann sums nearly
+    nest, and few rows stay open.
     """
     _check_same_space(a, b)
     small, large = (b, a) if len(b) < len(a) else (a, b)
     p = _KDTREE_P[a.space.norm]
-    dists, nearest = cKDTree(small.points).query(large.points, p=p)
-    worst = dists.max()
-    open_rows = np.ones(len(small), dtype=bool)
-    open_rows[nearest] = False
+    tree = cKDTree(small.points)
+    settled = None
+    if len(large) >= _TWO_LEVEL_ROWS:
+        settled = _settle_by_cells(tree, small, large, p)
+    if settled is None:
+        dists, nearest = tree.query(large.points, p=p)
+        worst = dists.max()
+        open_rows = np.ones(len(small), dtype=bool)
+        open_rows[nearest] = False
+    else:
+        worst, open_rows = settled
     if open_rows.any():
         worst = max(worst, cKDTree(large.points).query(small.points[open_rows], p=p)[0].max())
     return float(worst)
+
+
+def _settle_by_cells(tree: cKDTree, small: PointSet, large: PointSet, p: float):
+    """The larger cloud's side and the mask of the smaller rows left open, as
+    hausdorff uses them, with exact queries only for the rows the cells do
+    not settle; None where the cells cannot be keyed.
+
+    The largest distance of a sample of larger rows is a lower bound,
+    ``lower``, on that side.  The larger rows' bounding box is cut into cells
+    of diameter ``lower``, and the smaller row nearest each occupied cell's
+    centre is its representative.  A larger row whose numpy distance to its
+    representative is below ``lower`` by the margin _SETTLE is settled, and
+    only the others query the tree.  An open smaller row is settled when a
+    larger row of its own cell lies within the maximum by the same margin.
+    The clouds are held as (d, n) columns, whose reductions along a row are
+    contiguous.
+    """
+    pts = large.points
+    lower = tree.query(pts[::max(1, len(pts) // _LOWER_SAMPLE)], p=p)[0].max()
+    if not _MIN_LOWER < lower < math.inf:
+        return None
+    dim = large.space.dim
+    side = lower / {1.0: dim, 2.0: math.sqrt(dim)}.get(p, 1)
+    cols = pts.T.copy()
+    low, high = cols.min(axis=1), cols.max(axis=1)
+    span = (high - low) / side
+    # below 2^52 cells, cell indices computed in floats are exact
+    if not np.isfinite(span).all() or math.prod(int(s) + 1 for s in span) > 2**52:
+        return None
+    origin, span = low[:, None], span[:, None]
+    strides = np.cumprod([1, *(int(s) + 1 for s in span[:-1, 0])])[:, None]
+    grid = ((cols - origin) / side).astype(np.int64)
+    # np.unique with return_index sorts stably, about 3 ms on 20,000 keys
+    keys = (grid * strides).sum(axis=0)
+    order = keys.argsort()
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[order[1:]], keys[order[:-1]], out=fresh[1:])
+    cells, first = keys[order[fresh]], order[fresh]  # first: some row of each cell
+    inverse = np.empty_like(order)
+    inverse[order] = fresh.cumsum() - 1
+    centres = origin + (grid[:, first] + 0.5) * side
+    reps = tree.query(centres.T, p=p)[1][inverse]
+    near = _column_norms(p, cols - small.points.T[:, reps]) <= lower * _SETTLE
+    worst = lower
+    open_rows = np.ones(len(small), dtype=bool)
+    open_rows[reps[near]] = False
+    if not near.all():
+        dists, nearest = tree.query(pts[~near], p=p)
+        worst = max(worst, dists.max())
+        open_rows[nearest] = False
+    # the open smaller rows inside the box, and a larger row of their cell
+    rows = np.flatnonzero(open_rows)
+    spots = np.floor((small.points.T[:, rows] - origin) / side)
+    inside = ((spots >= 0) & (spots <= span)).all(axis=0)
+    rows, keys = rows[inside], (spots[:, inside].astype(np.int64) * strides).sum(axis=0)
+    at = np.minimum(np.searchsorted(cells, keys), len(cells) - 1)
+    hit = cells[at] == keys
+    rows, mates = rows[hit], cols[:, first[at[hit]]]
+    open_rows[rows[_column_norms(p, small.points.T[:, rows] - mates) <= worst * _SETTLE]] = False
+    return worst, open_rows
+
+
+def _column_norms(p: float, cols: np.ndarray) -> np.ndarray:
+    """The cKDTree p-norm of each column of a (d, n) array."""
+    if p == 2:
+        return np.sqrt((cols * cols).sum(axis=0))
+    cols = np.abs(cols)
+    return cols.sum(axis=0) if p == 1 else cols.max(axis=0)
 
 
 def _pow2_unit(p: np.ndarray) -> float:

@@ -32,12 +32,17 @@ class SpaceDescriptor:
             raise InvalidArgumentError(f"norm must be one of {NORM_FAMILIES}, got {self.norm!r}")
         if self.infratype is not None:
             p, c = self.infratype
-            if not (1.0 < p <= 2.0):
-                raise InvalidArgumentError(f"infratype exponent must lie in (1, 2], got {p}")
+            check_infratype_exponent(p)
             if not c > 0:
                 raise InvalidArgumentError(f"infratype constant must be positive, got {c}")
             object.__setattr__(self, "infratype", (float(p), float(c)))
         object.__setattr__(self, "dim", int(self.dim))
+
+
+def check_infratype_exponent(p: float) -> None:
+    """Raise InvalidArgumentError unless 1 < p <= 2 (NaN fails too)."""
+    if not 1.0 < p <= 2.0:
+        raise InvalidArgumentError(f"infratype exponent must lie in (1, 2], got {p}")
 
 
 def as_vector(space: SpaceDescriptor, coords) -> np.ndarray:

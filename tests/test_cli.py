@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, build_parser, parse_schedule, run
 from setint.errors import InvalidArgumentError
+from setint.partition import MAX_INTERVALS
 
 
 def triangle_cfg(**overrides) -> dict:
@@ -253,6 +254,10 @@ def test_convexity_of_the_l1_counterexample_exit_schema(tmp_path, capsys):
     pytest.param("integrate", "--config", triangle_cfg(seed="abc"), id="seed-not-a-number"),
     pytest.param("integrate", "--config", triangle_cfg(schedule=["a"]), id="schedule-not-numbers"),
     pytest.param("integrate", "--config", triangle_cfg(candidate="abc"), id="candidate-not-numbers"),
+    pytest.param("integrate", "--config", triangle_cfg(multifunction={
+        **triangle_cfg()["multifunction"], "boundM": float("inf")}), id="boundM-infinite"),
+    pytest.param("integrate", "--config", triangle_cfg(multifunction={
+        **triangle_cfg()["multifunction"], "diamBound": float("nan")}), id="diamBound-nan"),
     pytest.param("balance", "--vectors", {"space": {"dim": 2, "norm": "l2"}, "vectors": "abc"},
                  id="vectors-not-numbers"),
     pytest.param("balance", "--vectors", [1.0, 2.0], id="vectors-one-dimensional"),
@@ -398,6 +403,14 @@ def test_infratype_command(tmp_path, capsys):
     assert out["estimate"] == 1.0
 
 
+@pytest.mark.parametrize("p", ["0", "1", "nan", "-1", "5"])
+def test_infratype_exponent_outside_the_range_exit_schema(capsys, p):
+    assert run(["infratype", "--norm", "l2", "--trials", "5", "--p", p]) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert _one_line(cap.err, "error: infratype exponent must lie in (1, 2]")
+
+
 @pytest.mark.parametrize("argv", [
     ["infratype", "--norm", "l2", "--trials", "5"],
     ["counterexample", "hilbert", "--random", "--partition", "10"],
@@ -459,8 +472,8 @@ def test_counterexample_past_a_cap_exits_resource(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["counterexample", "hilbert", "--partition", "1000000000"], id="hilbert"),
-    pytest.param(["integrate", "--schedule", "1000000000"], id="integrate"),
+    pytest.param(["counterexample", "hilbert", "--partition", "10000000"], id="hilbert"),
+    pytest.param(["integrate", "--schedule", "10000000"], id="integrate"),
 ])
 def test_out_of_memory_exits_resource(tmp_path, monkeypatch, capsys, argv):
     def no_memory(*args, **kwargs):  # nothing is allocated for real
@@ -485,13 +498,35 @@ def test_integrate_counterexample_l1_past_the_dimension_cap_exits_resource(tmp_p
     assert _one_line(capsys.readouterr().err, "resource limit: ")
 
 
-@pytest.mark.parametrize("extra", [[], ["--random"]], ids=["uniform", "random"])
-def test_counterexample_hilbert_partition_too_large_exits_schema(capsys, extra):
-    argv = ["counterexample", "hilbert", "--partition", str(10 ** 20), *extra]
-    assert run(argv) == EXIT_SCHEMA
+@pytest.mark.parametrize("argv", [
+    pytest.param(["counterexample", "hilbert", "--partition", str(10 ** 20)], id="hilbert-uniform"),
+    pytest.param(["counterexample", "hilbert", "--partition", str(10 ** 20), "--random"],
+                 id="hilbert-random"),
+    pytest.param(["counterexample", "hilbert", "--partition", str(MAX_INTERVALS + 1)],
+                 id="hilbert-one-past-the-cap"),
+    pytest.param(["integrate", "--schedule", "uniform:2^1..2^99"], id="integrate-range"),
+    # a total of more than 4,300 digits, which int-to-str conversion refuses
+    pytest.param(["integrate", "--schedule", "uniform:2^1..2^15000"], id="integrate-huge-range"),
+    pytest.param(["integrate", "--schedule", f"1,{MAX_INTERVALS}"], id="integrate-total"),
+])
+def test_interval_count_past_the_cap_exits_resource(tmp_path, monkeypatch, capsys, argv):
+    def no_arrays(*args):
+        raise AssertionError("a breakpoint array was built")
+
+    monkeypatch.setattr("setint.partition._uniform_breakpoints", no_arrays)
+    if argv[0] == "integrate":
+        argv = [*argv, "--config", triangle_config(tmp_path)]
+    assert run(argv) == EXIT_RESOURCE
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert _one_line(cap.err, "error: ") and "--partition" in cap.err
+    assert _one_line(cap.err, "resource limit: ") and str(MAX_INTERVALS) in cap.err
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_unwritable_output_path_exits_schema(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out"
+    assert run(["integrate", "--config", triangle_config(tmp_path), flag, str(path)]) == EXIT_SCHEMA
+    assert _one_line(capsys.readouterr().err, f"error: cannot write {path}: ")
 
 
 def test_unknown_command_exits_nonzero():

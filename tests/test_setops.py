@@ -21,12 +21,14 @@ from setint.setops import (
     DEDUP_TOL,
     _KDTREE_P,
     _PAIR_WALK_MAX_BALL,
+    _TWO_LEVEL_ROWS,
     PointSet,
     _canonicalize,
     _canonicalize_blocks,
     _hull_dist_l2,
     _net_by_balls,
     _net_by_pairs,
+    _settle_by_cells,
     dist_point_to_hull,
     dist_point_to_set,
     hausdorff,
@@ -852,14 +854,74 @@ def _count_trees(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [l1, l2, linf])
-def test_hausdorff_of_nested_sums_builds_one_tree(monkeypatch, make):
+@pytest.mark.parametrize("m", [5, 6])  # 4,845 and 20,349 fine rows
+def test_hausdorff_of_nested_sums_builds_one_tree(monkeypatch, make, m):
     space = make(2)
-    gens = np.random.default_rng(3).standard_normal((5, 2))
+    gens = np.random.default_rng(3).standard_normal((m, 2))
     coarse, fine = _raw_sum(space, gens, 8), _raw_sum(space, gens, 16)
     assert len(coarse) < len(fine)
+    assert (len(fine) >= _TWO_LEVEL_ROWS) == (m == 6)
     built = _count_trees(monkeypatch)
     assert hausdorff(fine, coarse) == _two_tree_hausdorff(fine, coarse)
     assert built == [len(coarse)]
+
+
+def _large_hausdorff_pairs(space):
+    """(id, a, b, cells): pairs whose larger cloud has at least
+    _TWO_LEVEL_ROWS rows, and whether its cells can be keyed."""
+    rng = np.random.default_rng(91)
+    dim, n = space.dim, _TWO_LEVEL_ROWS + 1000
+    coarse, fine = (_raw_sum(space, rng.uniform(-1, 1, (6, dim)), k) for k in (8, 16))
+    yield "nested-sums", fine, coarse, True
+    yield "identical", fine, PointSet(space, fine.points.copy()), False  # lower = 0
+    yield "far-apart", random_ps(space, n, rng), translate(random_ps(space, 300, rng), [1e6] * dim), True
+    side = math.ceil((4 * n) ** (1 / dim))  # n distinct rows of side^dim grid points
+    grid = np.stack(np.unravel_index(rng.choice(side**dim, n, replace=False), (side,) * dim), axis=1)
+    yield ("grid-ties", ps(space, grid / 4.0),
+           ps(space, rng.integers(0, side, (400, dim)) / 4.0 + 0.125), True)
+    # clusters of 25 rows within about 1e-9; the smaller cloud misses some
+    centres = rng.standard_normal((400, dim))
+    yield ("near-duplicates", ps(space, centres.repeat(25, axis=0) + 1e-9 * rng.standard_normal((10_000, dim))),
+           ps(space, centres[:360] + 1e-9 * rng.standard_normal((360, dim))), True)
+    # a line of larger rows 1 apart and smaller rows 50 apart, with holes of
+    # radius 28 (30 for the first) in the larger rows: the smaller row at a
+    # centre represents some cells, yet lies farther from the larger rows
+    # than any larger row from the smaller ones
+    t = np.arange(50 * (n // 50 + 40) + 1.0)
+    u = np.arange(312.0, len(t) - 300, 437)
+    r = np.where(u == u[0], 30.0, 28.0)
+    s = t[::50]
+    s = np.concatenate([s[(np.abs(s[:, None] - u) >= r + 25).all(axis=1)], u, u - r - 25, u + r + 25])
+    t = t[(np.abs(t[:, None] - u) >= r).all(axis=1)]
+    yield "holes", *(ps(space, np.pad(v[:, None], ((0, 0), (0, dim - 1)))) for v in (t, s)), True
+    # one far row shared by both clouds: about 1e31 cells per axis
+    far = np.full((1, dim), 1e30)
+    yield ("huge-extent", ps(space, np.concatenate([fine.points, far])),
+           ps(space, np.concatenate([coarse.points, far])), False)
+
+
+LARGE_HAUSDORFF_CASES = [
+    pytest.param(a, b, cells, id=f"{make.__name__}-{dim}-{tag}")
+    for make in (l1, l2, linf)
+    for dim in (1, 2, 3, 6)
+    for tag, a, b, cells in _large_hausdorff_pairs(make(dim))
+]
+
+
+@pytest.mark.parametrize("a, b, cells", LARGE_HAUSDORFF_CASES)
+def test_hausdorff_of_large_clouds_equals_two_tree_value_in_both_orders(monkeypatch, a, b, cells):
+    assert max(len(a), len(b)) >= _TWO_LEVEL_ROWS
+    settled = []
+
+    def spy(*args):
+        settled.append(_settle_by_cells(*args))
+        return settled[-1]
+
+    monkeypatch.setattr("setint.setops._settle_by_cells", spy)
+    want = _two_tree_hausdorff(a, b)
+    assert hausdorff(a, b) == want
+    assert hausdorff(b, a) == want
+    assert [s is not None for s in settled] == [cells] * 2
 
 
 @pytest.mark.parametrize("make", [l1, l2, linf])
