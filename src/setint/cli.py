@@ -42,6 +42,7 @@ from .errors import (
     schema_faults,
 )
 from .partition import (
+    MAX_INTERVALS,
     CounterexampleL1,
     check_interval_count,
     eval_mf,
@@ -89,7 +90,52 @@ def parse_schedule(spec: str) -> list[int]:
     if len(ends) > 2 or ends[0][0] != ends[-1][0]:
         raise InvalidArgumentError(f"schedule {spec!r} is not one range of powers of one base")
     (base, lo), (_, hi) = ends[0], ends[-1]
-    return [base ** k for k in range(lo, hi + 1)]
+    return _power_range(spec, base, lo, hi)
+
+
+#: Exponents below which a base of 2 or more has powers that round to 0.0.
+_UNDERFLOW = -1100
+
+
+def _power_range(spec: str, base: int, lo: int, hi: int) -> list:
+    """base^k for k = lo..hi: the counts of a range.
+
+    The positive counts are added up as they are built, and once their total
+    passes MAX_INTERVALS, ResourceLimitError is raised, as _build_schedule
+    would raise for the whole list; no power past that point is computed.  A
+    range that is not listed in full otherwise holds a count below 1 and
+    raises InvalidArgumentError, as uniform_partition would for that count.
+    """
+    if lo > hi:
+        return []
+    if base == 0 and lo < 0:
+        raise InvalidArgumentError(f"schedule {spec!r} raises 0 to a negative power")
+    if abs(base) <= 1:
+        # a count of 1 at every k (base 1), at even k (base -1) or at k = 0 (base 0)
+        ones = {1: hi - lo + 1, -1: hi // 2 - (lo - 1) // 2, 0: int(lo <= 0 <= hi)}[base]
+        check_interval_count(ones, "a schedule")
+        # a longer range holds a count below 1
+        ks = range(lo, hi + 1) if hi - lo < MAX_INTERVALS else range(0)
+    else:
+        top = 0  # the last k with |base^k| <= MAX_INTERVALS
+        while abs(base) ** (top + 1) <= MAX_INTERVALS:
+            top += 1
+        # past top every count is above the cap, and one is positive unless
+        # the only one is an odd power of a negative base
+        first = max(lo, top + 1)
+        if first < hi or (first == hi and (base > 0 or hi % 2 == 0)):
+            check_interval_count(abs(base) ** (top + 1), "a schedule")
+        ks = range(max(lo, _UNDERFLOW), min(hi, top) + 1)
+    counts, total = [], 0
+    for k in ks:
+        n = base ** k
+        if n > 0:
+            total += n
+            check_interval_count(total, "a schedule")
+        counts.append(n)
+    if len(counts) < hi - lo + 1:
+        raise InvalidArgumentError(f"schedule {spec!r} has counts below 1")
+    return counts
 
 
 def _power(token: str) -> tuple[int, int]:
@@ -333,6 +379,9 @@ def _cmd_counterexample(args) -> int:
         sys.stdout.write(_dump(out, args.json))
         return 0 if out["verdict"] == "converged" else 3
     cfg = CounterexampleL1(args.n, args.N)
+    # first, so that an N past L1_DIM_CAP exits before the witness bound
+    # divides by 2^n - 1, which no float holds from n = 1024 on
+    simplex = cex.simplex_generators(cfg)
     bound = cex.l1_counterexample_lower_bound(cfg)
     out = {
         "bound": bound,
@@ -344,7 +393,7 @@ def _cmd_counterexample(args) -> int:
         out["bruteforce"] = cex.l1_counterexample_bruteforce(cfg)
         out["oracleAgrees"] = bool(abs(out["bruteforce"] - bound) <= 1e-12)
     f = cex.l1_counterexample_eval(cfg)
-    out["convDistance"] = hausdorff_hulls(eval_mf(f, 0.0), cex.simplex_generators(cfg))
+    out["convDistance"] = hausdorff_hulls(eval_mf(f, 0.0), simplex)
     out["verdict"] = "diverged" if bound >= cex.DIVERGENCE_BOUND else "inconclusive"
     sys.stdout.write(_dump(out, args.json))
     return 2 if out["verdict"] == "diverged" else 3

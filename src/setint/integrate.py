@@ -5,8 +5,9 @@ A Riemann sum accumulates scaled values left to right with Minkowski addition,
 pruning after every step with a fixed delta.  Pruning error is additive under
 Minkowski sums (rho_H(A + C, B + C) <= rho_H(A, B)), so the ledger
 (number of terms) * delta certifies the distance to the exact sum.  Terms
-with equal values are grouped: under hull semantics into one term, and in
-unpruned raw sums into one k-fold Minkowski power (see riemann_sum).
+with equal values are grouped: into one term when F carries hull semantics
+(a convex_hull_of body), and in unpruned raw sums into one k-fold Minkowski
+power (see riemann_sum).
 """
 
 from __future__ import annotations
@@ -37,30 +38,25 @@ from .setops import (
     scale_many,
 )
 
-#: Default cap on the cardinality of an intermediate sum.
+#: Cap on the cardinality of an intermediate sum.
 CARDINALITY_CAP = 200_000
 
 
 def riemann_terms(
-    f: Multifunction,
-    t: TaggedPartition,
-    delta_step: float = 0.0,
-    transform=None,
-    hull: bool = False,
+    f: Multifunction, t: TaggedPartition, delta_step: float = 0.0
 ) -> tuple[tuple[float, ...], tuple[int, ...], tuple[PointSet, ...]]:
     """The grouped terms of S(F, T): (weights, counts, values), one entry per
     group, in order of the group's first term (the first half of
     riemann_sum).
 
-    ``transform``, if given, maps each value's point array first (used by the
-    pushforward experiment).  Terms whose values are equal (same canonical
-    bytes) form groups:
+    Terms whose values are equal (same canonical bytes) form groups:
 
-    - With ``hull``, a group is one term (w_1 + ... + w_k) * A, which leaves
-      the hull of the sum unchanged (sum w_i conv A = (sum w_i) conv A) but
-      not its points; weights add in partition order.
-    - Without ``hull`` and without pruning, a group also shares its width w,
-      and its k terms add up to the k-fold Minkowski power of w * A.
+    - When F carries hull semantics (a convex_hull_of body), a group is one
+      term (w_1 + ... + w_k) * A of count 1, which leaves the hull of the sum
+      unchanged (sum w_i conv A = (sum w_i) conv A) but not its points;
+      weights add in partition order.
+    - Otherwise, without pruning, a group also shares its width w, and its
+      k terms add up to the k-fold Minkowski power of w * A.
     - With pruning (``delta_step > 0``) raw terms stay one per interval: a
       group would be materialised unpruned.
 
@@ -68,11 +64,9 @@ def riemann_terms(
     """
     if not 0 <= delta_step < math.inf:
         raise InvalidArgumentError("delta_step must be finite and nonnegative")
-    values = eval_mf_many(f, t.tags)
-    if transform is not None:
-        values = [PointSet(transform[1], val.points @ transform[0].T) for val in values]
+    hull = is_hull_semantics(f)
     terms: dict = {}
-    for w, val in zip(t.widths.tolist(), values):
+    for w, val in zip(t.widths.tolist(), eval_mf_many(f, t.tags)):
         if hull:
             key = val.points.tobytes()
         elif delta_step == 0:
@@ -80,72 +74,62 @@ def riemann_terms(
         else:
             key = len(terms)
         weight, k, _ = terms.get(key, (0.0, 0, val))
-        # hull groups add their widths; raw groups share one width
-        terms[key] = (weight + w if hull else w, k + 1, val)
+        # hull groups add their widths and stay one term; raw groups share one width
+        terms[key] = (weight + w, 1, val) if hull else (w, k + 1, val)
     return tuple(zip(*terms.values()))
 
 
-def _same_terms(a, b, hull: bool = False) -> bool:
+def _same_terms(a, b) -> bool:
     """Whether two results of riemann_terms give the same sum: equal weights
-    (as floats), values equal bit for bit (or the same objects), and, for raw
-    sums, equal counts; a hull sum ignores its counts."""
+    (as floats), equal counts, and values equal bit for bit (or the same
+    objects)."""
     (wa, ca, va), (wb, cb, vb) = a, b
-    return wa == wb and (hull or ca == cb) and all(
+    return wa == wb and ca == cb and all(
         x is y or x.points.tobytes() == y.points.tobytes() for x, y in zip(va, vb)
     )
 
 
-def sum_terms(
-    terms, delta_step: float = 0.0, cap: int = CARDINALITY_CAP, hull: bool = False
-) -> PrunedSet:
+def sum_terms(terms, delta_step: float = 0.0) -> PrunedSet:
     """The Minkowski sum of riemann_terms' groups with per-step pruning (the
     second half of riemann_sum).
 
     Every group is scaled by its weight in one multiply and put in canonical
     form again in one pass (setops.scale_many): scaling can make rows tie or
-    merge.  A raw group of k terms is the k-fold Minkowski power of its scaled
-    value (setops.minkowski_power), built in one step unless the multisets of
-    k generators outnumber ``cap``.  Only the Minkowski steps and pruning run
-    group by group.
+    merge.  A group of k terms is the k-fold Minkowski power of its scaled
+    value (setops.minkowski_power; a hull group has k = 1, its value itself),
+    built in one step unless the multisets of k generators outnumber
+    CARDINALITY_CAP.  Only the Minkowski steps and pruning run group by
+    group.
 
     The error ledger is (number of terms) * delta_step.
     """
     weights, counts, values = terms
     acc: PointSet | None = None
     for term, k in zip(scale_many(weights, values), counts):
-        if not hull:
-            term = minkowski_power(term, k, cap)
+        term = minkowski_power(term, k, CARDINALITY_CAP)
         acc = term if acc is None else minkowski(acc, term)
         if delta_step > 0:
             acc = prune(acc, delta_step).base
-        if len(acc) > cap:
+        if len(acc) > CARDINALITY_CAP:
             raise ResourceLimitError(
-                f"intermediate sum grew to {len(acc)} points (cap {cap}); "
+                f"intermediate sum grew to {len(acc)} points (cap {CARDINALITY_CAP}); "
                 "use a larger delta_step"
             )
     return PrunedSet(acc, len(weights) * delta_step)
 
 
-def riemann_sum(
-    f: Multifunction,
-    t: TaggedPartition,
-    delta_step: float = 0.0,
-    cap: int = CARDINALITY_CAP,
-    transform=None,
-    hull: bool = False,
-) -> PrunedSet:
+def riemann_sum(f: Multifunction, t: TaggedPartition, delta_step: float = 0.0) -> PrunedSet:
     """S(F, T) = Minkowski sum of |interval| * F(tag) with per-step pruning,
-    in two halves: riemann_terms groups the terms (under ``hull`` equal
-    values merge into one term whose weight is the sum of their widths, in
-    unpruned raw sums into one k-fold Minkowski power), and sum_terms scales
-    and accumulates the groups, pruning after each step with ``delta_step``.
-    ``transform``, if given, maps each value's point array before scaling
-    (used by the pushforward experiment).  integrate calls the halves itself,
-    so that a row whose terms repeat the previous row's skips the second.
+    in two halves: riemann_terms groups the terms (under F's hull semantics
+    equal values merge into one term whose weight is the sum of their
+    widths, in unpruned raw sums into one k-fold Minkowski power), and
+    sum_terms scales and accumulates the groups, pruning after each step with
+    ``delta_step``.  integrate calls the halves itself, so that a row whose
+    terms repeat the previous row's skips the second.
 
     The error ledger is (number of terms) * delta_step.
     """
-    return sum_terms(riemann_terms(f, t, delta_step, transform, hull), delta_step, cap, hull)
+    return sum_terms(riemann_terms(f, t, delta_step), delta_step)
 
 
 @dataclass(frozen=True)
@@ -226,7 +210,6 @@ def integrate(
     tol: float = 1e-6,
     delta_step: float = 0.0,
     hull_tol: float = 1e-8,
-    cap: int = CARDINALITY_CAP,
 ) -> ConvergenceReport:
     """Run the schedule and report convergence.
 
@@ -268,9 +251,9 @@ def integrate(
     prev = prev_terms = None
     for t in schedule:
         start = time.perf_counter()
-        terms = riemann_terms(f, t, delta_step, hull=hull)
-        repeat = prev_terms is not None and _same_terms(terms, prev_terms, hull)
-        s = prev if repeat else sum_terms(terms, delta_step, cap, hull)
+        terms = riemann_terms(f, t, delta_step)
+        repeat = prev_terms is not None and _same_terms(terms, prev_terms)
+        s = prev if repeat else sum_terms(terms, delta_step)
         mid = time.perf_counter()
         if candidate is not None:
             d, err = rows[-1].distance if repeat else dist(s.base, candidate), s.err_bound
@@ -347,7 +330,9 @@ def pushforward_check(
 ) -> ConvergenceReport:
     """Compare P(S(F,T)) with S(P o F, T) along the schedule.
 
-    Without pruning the two sets coincide; with pruning they agree within
+    Each row groups its terms once (riemann_terms, under F's semantics) and
+    sums them twice: as they are, and with every value mapped by P.  Without
+    pruning the two sets coincide; with pruning they agree within
     (1 + ||P||) times the ledger.
     """
     from .spaces import SpaceDescriptor
@@ -361,9 +346,11 @@ def pushforward_check(
     rows = []
     for t in schedule:
         start = time.perf_counter()
-        s = riemann_sum(f, t, delta_step)
+        weights, counts, values = riemann_terms(f, t, delta_step)
+        s = sum_terms((weights, counts, values), delta_step)
         mapped = PointSet(target, s.base.points @ p.T)
-        s_pf = riemann_sum(f, t, delta_step, transform=(p, target))
+        pf_values = tuple(PointSet(target, val.points @ p.T) for val in values)
+        s_pf = sum_terms((weights, counts, pf_values), delta_step)
         mid = time.perf_counter()
         dist = hausdorff(mapped, s_pf.base)
         end = time.perf_counter()

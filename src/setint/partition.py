@@ -250,6 +250,38 @@ class Multifunction:
                 raise InvalidArgumentError(
                     f'declared bound "{key}" must be finite and nonnegative, got {bound}'
                 )
+        _check_body_space(self.space, self.body)
+
+
+def _space_name(space: SpaceDescriptor) -> str:
+    name = f"{space.norm}({space.dim})"
+    return name if space.infratype is None else f"{name} with infratype {space.infratype}"
+
+
+def _check_body_space(space: SpaceDescriptor, body: Body) -> None:
+    """Raise InvalidArgumentError unless the body's sets, or its inner map,
+    live in ``space``; the l1 counterexample lives in l1 of dimension N."""
+    if isinstance(body, CounterexampleL1):
+        if space.norm != "l1" or space.dim != body.trunc_dim:
+            raise InvalidArgumentError(
+                f"a counterexample_l1 body with N = {body.trunc_dim} lives in "
+                f"l1({body.trunc_dim}), not in {_space_name(space)}"
+            )
+        return
+    if isinstance(body, Constant):
+        kind, spaces = "constant", (body.points.space,)
+    elif isinstance(body, PiecewiseConstant):
+        kind, spaces = "piecewise_constant", tuple(s.space for s in body.sets)
+    elif isinstance(body, ConvexHullOf):
+        kind, spaces = "convex_hull_of", (body.inner.space,)
+    else:
+        return
+    for other in spaces:
+        if other != space:
+            raise InvalidArgumentError(
+                f"a {kind} body in {_space_name(other)} does not live in "
+                f"the multifunction's space {_space_name(space)}"
+            )
 
 
 def is_hull_semantics(f: Multifunction) -> bool:

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import operator
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, build_parser, parse_schedule, run
-from setint.errors import InvalidArgumentError
-from setint.partition import MAX_INTERVALS
+from setint.errors import InvalidArgumentError, ResourceLimitError
+from setint.partition import MAX_INTERVALS, check_interval_count
 
 
 def triangle_cfg(**overrides) -> dict:
@@ -243,6 +244,34 @@ def test_convexity_of_the_l1_counterexample_exit_schema(tmp_path, capsys):
     assert err.startswith("error: ") and "counterexample_l1" in err
 
 
+def _hull_with_inner_space(norm: str) -> dict:
+    cfg = triangle_cfg()
+    del cfg["candidate"]
+    cfg["multifunction"]["space"]["norm"] = "l2"
+    cfg["multifunction"]["body"]["inner"]["space"]["norm"] = norm
+    return cfg
+
+
+def _counterexample_in(space: dict) -> dict:
+    return {"version": CONFIG_VERSION, "schedule": [2, 4],
+            "multifunction": {"space": space, "boundM": 1.0, "diamBound": 2.0,
+                              "body": {"kind": "counterexample_l1", "n": 2, "N": 3}}}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    pytest.param(_hull_with_inner_space("l1"), "a convex_hull_of body in l1(2) does not live in "
+                 "the multifunction's space l2(2)", id="l1-hull-body-of-an-l2-map"),
+    pytest.param(_counterexample_in({"dim": 3, "norm": "l2"}), "a counterexample_l1 body with "
+                 "N = 3 lives in l1(3), not in l2(3)", id="counterexample-in-l2"),
+    pytest.param(_counterexample_in({"dim": 4, "norm": "l1"}), "a counterexample_l1 body with "
+                 "N = 3 lives in l1(3), not in l1(4)", id="counterexample-in-l1-of-another-dim"),
+])
+def test_body_outside_the_multifunction_space_exits_schema(tmp_path, capsys, cfg, message):
+    assert run(["integrate", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command, flag, document", [
     pytest.param("integrate", "--config",
                  triangle_with_inner_body({"kind": "constant", "points": "abc"}),
@@ -358,6 +387,19 @@ def test_pushforward_command(tmp_path, capsys):
     assert run(["pushforward", "--config", cfg, "--matrix", str(mat)]) == 0
 
 
+def test_pushforward_of_a_hull_body_sums_under_hull_semantics(tmp_path):
+    # each row groups the triangle's intervals into one term of weight 1, so
+    # both sides keep its 3 points
+    cfg = triangle_config(tmp_path)
+    mat = write_json(tmp_path, "p.json", [[1.0, 2.0], [0.5, -1.0]])
+    out = tmp_path / "out.json"
+    assert run(["pushforward", "--config", cfg, "--matrix", mat, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [r["cardinality"] for r in report["rows"]] == [3, 3, 3]
+    assert [r["distance"] for r in report["rows"]] == [0.0, 0.0, 0.0]
+    assert report["verdict"] == "converged"
+
+
 def test_pushforward_dimension_mismatch_exit_schema(tmp_path):
     cfg = triangle_config(tmp_path)
     mat = tmp_path / "p.json"
@@ -462,6 +504,8 @@ def _one_line(err: str, prefix: str) -> bool:
     pytest.param(["l1", "--n", "3", "--N", str(10 ** 10)], id="l1-dimension"),
     pytest.param(["l1", "--n", "3", "--N", str(10 ** 10), "--bruteforce"],
                  id="l1-dimension-oracle"),
+    # the witness bound divides by 2^1100 - 1, which no float holds
+    pytest.param(["l1", "--n", "1100", "--N", str(2 ** 1100)], id="l1-witness-past-floats"),
 ])
 def test_counterexample_past_a_cap_exits_resource(capsys, argv):
     assert run(["counterexample", *argv]) == EXIT_RESOURCE
@@ -520,6 +564,66 @@ def test_interval_count_past_the_cap_exits_resource(tmp_path, monkeypatch, capsy
     cap = capsys.readouterr()
     assert cap.out == ""
     assert _one_line(cap.err, "resource limit: ") and str(MAX_INTERVALS) in cap.err
+
+
+def test_a_range_far_past_the_cap_exits_resource_at_once(tmp_path, capsys):
+    # the powers stop at the first one past the cap: 2^40000 is never built
+    cfg = triangle_config(tmp_path)
+    start = time.perf_counter()
+    code = run(["integrate", "--config", cfg, "--schedule", "uniform:2^1..2^40000"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_RESOURCE
+    assert _one_line(capsys.readouterr().err, "resource limit: ")
+    assert elapsed < 0.1
+
+
+def _listed_range(base, lo, hi):
+    """A range's counts listed in full, then checked as a schedule is."""
+    counts = [base ** k for k in range(lo, hi + 1)]
+    check_interval_count(sum(n for n in counts if n > 0), "a schedule")
+    return counts
+
+
+_RANGES = [(lo, hi) for lo in range(-3, 9) for hi in range(-3, 9)] + [(1, 150), (-150, 1), (0, 129)]
+
+
+@pytest.mark.parametrize("base", [-65, -64, -8, -3, -2, -1, 0, 1, 2, 3, 8, 64, 65])
+def test_power_ranges_list_the_counts_or_fail_as_the_listed_counts_would(monkeypatch, base):
+    # with a cap of 2^6, ranges reach and pass the cap cheaply: each parses
+    # to its listed counts, or raises ResourceLimitError where they would,
+    # or InvalidArgumentError where they hold a count below 1
+    monkeypatch.setattr("setint.partition.MAX_INTERVALS", 64)
+    monkeypatch.setattr("setint.cli.MAX_INTERVALS", 64)
+    for lo, hi in _RANGES:
+        spec = f"uniform:{base}^{lo}..{base}^{hi}"
+        try:
+            want = _listed_range(base, lo, hi)
+        except (ResourceLimitError, ZeroDivisionError) as exc:
+            error = ResourceLimitError if isinstance(exc, ResourceLimitError) else InvalidArgumentError
+            with pytest.raises(error):
+                parse_schedule(spec)
+            continue
+        try:
+            got = parse_schedule(spec)
+        except InvalidArgumentError:
+            assert min(want) < 1, spec
+            continue
+        assert got == want and [type(n) for n in got] == [type(n) for n in want], spec
+
+
+@pytest.mark.parametrize("schedule, code", [
+    ("uniform:0^-1..0^1", EXIT_SCHEMA),  # 0 ** -1 has no value
+    ("uniform:3^-2000..3^-1", EXIT_SCHEMA),  # fractions, the first ones 0.0
+    ("uniform:-2^4097", EXIT_SCHEMA),  # one negative count past the cap
+    ("uniform:-2^4096", EXIT_RESOURCE),
+])
+def test_a_range_with_no_valid_count_exits_with_one_line(tmp_path, capsys, schedule, code):
+    cfg = triangle_config(tmp_path)
+    start = time.perf_counter()
+    assert run(["integrate", "--config", cfg, "--schedule", schedule]) == code
+    assert time.perf_counter() - start < 0.1
+    prefix = "error: " if code == EXIT_SCHEMA else "resource limit: "
+    assert _one_line(capsys.readouterr().err, prefix)
 
 
 @pytest.mark.parametrize("flag", ["--json", "--csv"])

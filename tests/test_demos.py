@@ -1,4 +1,5 @@
-"""Smoke test of the demos: each runs to the end and prints its summary."""
+"""Smoke tests of the demos and of the README quick start: each runs to the
+end and prints its summary."""
 
 import os
 import subprocess
@@ -23,3 +24,14 @@ def test_demo_runs_to_its_summary(demo, summary):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(summary)
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["converged", "[0.0, 0.0, 0.0]"]

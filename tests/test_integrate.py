@@ -16,6 +16,8 @@ from setint.integrate import (
     operator_norm,
     pushforward_check,
     riemann_sum,
+    riemann_terms,
+    sum_terms,
 )
 from setint.partition import (
     Constant,
@@ -25,6 +27,7 @@ from setint.partition import (
     Multifunction,
     PiecewiseConstant,
     eval_mf,
+    eval_mf_many,
     halve_with_tags,
     inner_of,
     random_partition,
@@ -147,8 +150,8 @@ def test_grouped_hull_sum_has_the_same_hull(name, seed):
     # sum w_i conv A = (sum w_i) conv A; random partitions give unequal weights
     f = _hull_bodies()[name]
     t = random_partition(5, seed=seed)
-    grouped = riemann_sum(f, t, hull=True).base
-    raw = riemann_sum(f, t, hull=False).base
+    grouped = riemann_sum(f, t).base
+    raw = riemann_sum(inner_of(f), t).base
     assert hausdorff_hulls(grouped, raw) <= 1e-8
     assert len(grouped) <= len(raw)
 
@@ -183,10 +186,12 @@ def test_moving_l1_hull_rows_certify_in_dim_24():
         assert row.distance <= hausdorff(cur, prev)
 
 
-def _term_by_term_sum(f, t, delta_step=0.0, transform=None, hull=False):
+def _term_by_term_sum(f, t, delta_step=0.0, transform=None):
     """Reference: the Riemann sum built one term at a time, each value
     evaluated at its own tag (a moving body's curves by one vector-matrix
-    product each) and scaled on its own, with the groups of riemann_sum."""
+    product each) and scaled on its own, with the groups of riemann_sum:
+    one term per value for a hull body."""
+    hull = isinstance(f.body, ConvexHullOf)
     g = inner_of(f)
     terms = {}
     for w, tag in zip(t.widths.tolist(), t.tags.tolist()):
@@ -230,11 +235,10 @@ def test_riemann_sum_equals_term_by_term_sum(space, t, body, delta):
          "hull-piecewise": Multifunction(space, PiecewiseConstant((0.0, 0.4, 0.6, 1.0), (a, b, a)),
                                          3.0, 6.0)}
     f["hull-moving"] = f["moving"]
-    hull = body.startswith("hull")
-    if hull:
+    if body.startswith("hull"):
         f[body] = Multifunction(space, ConvexHullOf(f[body]), 3.0, 6.0)
-    got = riemann_sum(f[body], t, delta, hull=hull).base.points
-    want = _term_by_term_sum(f[body], t, delta, hull=hull).points
+    got = riemann_sum(f[body], t, delta).base.points
+    want = _term_by_term_sum(f[body], t, delta).points
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -245,7 +249,9 @@ def test_pushforward_sum_equals_term_by_term_sum(delta):
     p = np.array([[1.0, -0.5], [0.25, 2.0], [1e-13, 0.0]])
     target = l2(3)
     t = uniform_partition(6, tag_rule="random", seed=9)
-    got = riemann_sum(f, t, delta, transform=(p, target)).base.points
+    weights, counts, values = riemann_terms(f, t, delta)
+    mapped = tuple(PointSet(target, val.points @ p.T) for val in values)
+    got = sum_terms((weights, counts, mapped), delta).base.points
     want = _term_by_term_sum(f, t, delta, transform=(p, target)).points
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -353,6 +359,24 @@ def test_pushforward_with_pruning_within_budget():
     assert report.verdict.status == "converged"
     for row in report.rows:
         assert row.distance <= row.prune_error + 1e-6
+
+
+@pytest.mark.parametrize("hull", [True, False], ids=["hull", "raw"])
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_pushforward_evaluates_each_row_once(monkeypatch, hull, delta):
+    # both sums of a row share its grouped terms: one evaluation of its tags
+    f = hull_segment_mf(l2(2)) if hull else segment_mf(l2(2))
+    calls = []
+
+    def counted(g, tags):
+        calls.append(len(tags))
+        return eval_mf_many(g, tags)
+
+    monkeypatch.setattr(INTEGRATE, "eval_mf_many", counted)
+    report = pushforward_check(f, np.array([[1.0, 2.0], [0.5, -1.0]]),
+                               [uniform_partition(n) for n in (2, 4, 8)], delta_step=delta)
+    assert calls == [2, 4, 8]
+    assert report.verdict.status == "converged"
 
 
 def test_pushforward_shape_mismatch():
@@ -474,11 +498,12 @@ def test_reused_rows_report_what_computed_rows_report(monkeypatch, name, with_ca
 def test_riemann_sum_is_sum_terms_of_riemann_terms():
     f = _reuse_bodies()["hull-piecewise-off-grid"]
     t = uniform_partition(8)
-    weights, counts, values = INTEGRATE.riemann_terms(f, t, hull=True)
-    assert counts == (3, 5) and weights == (0.375, 0.625)
+    weights, counts, values = riemann_terms(f, t)
+    # a hull group is one term: 3 and 5 intervals, weighed together
+    assert counts == (1, 1) and weights == (0.375, 0.625)
     assert values[0] is eval_mf(f, 0.0) and values[1] is eval_mf(f, 1.0)
-    s = INTEGRATE.sum_terms((weights, counts, values), hull=True)
-    assert np.array_equal(s.base.points, riemann_sum(f, t, hull=True).base.points)
+    s = sum_terms((weights, counts, values))
+    assert np.array_equal(s.base.points, riemann_sum(f, t).base.points)
 
 
 def test_same_terms_compares_weights_counts_and_value_bits():
@@ -489,7 +514,6 @@ def test_same_terms_compares_weights_counts_and_value_bits():
     same = INTEGRATE._same_terms
     assert same(((0.5,), (2,), (a,)), ((0.5,), (2,), (copy,)))
     assert not same(((0.5,), (2,), (a,)), ((0.5,), (3,), (a,)))
-    assert same(((0.5,), (2,), (a,)), ((0.5,), (3,), (a,)), hull=True)  # hull sums ignore counts
     assert not same(((0.5,), (2,), (a,)), ((0.5 + 2 ** -53,), (2,), (a,)))
     assert not same(((0.5,), (2,), (a,)), ((0.5, 0.5), (1, 1), (a, a)))
     # equal as numbers, but a sum of -0.0 keeps its sign: not reused

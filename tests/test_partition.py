@@ -283,3 +283,15 @@ def test_mf_json_counterexample_roundtrip():
     back = mf_from_json(mf_to_json(f))
     assert isinstance(back.body, CounterexampleL1)
     assert back.body.n == 3 and back.body.trunc_dim == 7
+
+
+@pytest.mark.parametrize("body", ["constant", "piecewise", "hull"])
+def test_body_sets_must_live_in_the_multifunction_space(body):
+    tri = PointSet(l1(2), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    inner = {"constant": Constant(tri),
+             "piecewise": PiecewiseConstant((0.0, 0.5, 1.0), (PointSet(l2(2), tri.points), tri)),
+             "hull": ConvexHullOf(Multifunction(l1(2), Constant(tri), 1.0, 2.0))}[body]
+    with pytest.raises(InvalidArgumentError, match="does not live in the multifunction's space"):
+        Multifunction(l2(2), inner, 1.0, 2.0)
+    if body != "piecewise":
+        Multifunction(l1(2), inner, 1.0, 2.0)  # the same body in its own space
