@@ -38,7 +38,6 @@ from .integrate import (
     Verdict,
     convexity_defect,
     integrate,
-    pushforward_check,
     riemann_sum,
 )
 from .partition import (

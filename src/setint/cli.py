@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Subcommands: integrate, convexity, pushforward, balance, infratype, select,
-counterexample.  JSON is the machine interface, CSV the plotting interface;
-re-running with the same config and seed yields byte-identical files (the CSV
-ms column is zero unless --timings is given, which is documented to break
-byte-identity).
+Subcommands: integrate, convexity, balance, infratype, select, counterexample.
+JSON is the machine interface, CSV the plotting interface; re-running with
+the same config and seed yields byte-identical files (the CSV ms column is
+zero unless --timings is given, which is documented to break byte-identity).
 
 Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
 1 when a solver fails to certify; 64 on schema or argument violations (a
@@ -14,6 +13,10 @@ a hull body, convexity of a body whose limit is never built, and an output
 path that cannot be written); 70 on resource limits (a schedule or partition
 of more than partition.MAX_INTERVALS intervals, and an allocation that runs
 out of memory, among them).
+
+A schedule's interval counts are checked before any partition is built:
+they must be whole numbers that strictly increase from 1 (else 64), and
+then add up to at most partition.MAX_INTERVALS (else 70).
 """
 
 from __future__ import annotations
@@ -28,11 +31,7 @@ import numpy as np
 
 from . import balance as bal
 from . import counterexamples as cex
-from .integrate import (
-    convexity_defect,
-    integrate as run_integrate,
-    pushforward_check,
-)
+from .integrate import convexity_defect, integrate as run_integrate
 from .errors import (
     ConfigError,
     InvalidArgumentError,
@@ -52,7 +51,7 @@ from .partition import (
     validate_bounds,
 )
 from .setops import PointSet, hausdorff_hulls, pointset_from_json
-from .spaces import SpaceDescriptor, c1_constant, space_from_json
+from .spaces import SpaceDescriptor, c1_constant, norms, space_from_json
 
 EXIT_SCHEMA = 64
 EXIT_RESOURCE = 70
@@ -77,64 +76,50 @@ def _dump(obj, path=None):
 
 def parse_schedule(spec: str) -> list[int]:
     """'2,4,8' or 'uniform:2^1..2^8' (all powers of two in the range); both
-    ends of a range must name the same base."""
+    ends of a range must name the same base.  The counts are checked as
+    _check_counts checks them."""
     body = spec.strip()
     if body.startswith("uniform:"):
         body = body[len("uniform:"):]
+    listed = ".." not in body and "^" not in body
     try:
-        if ".." not in body and "^" not in body:
-            return [int(tok) for tok in body.split(",") if tok]
-        ends = [_power(tok) for tok in body.split("..")]
+        if listed:
+            counts = [int(tok) for tok in body.split(",") if tok]
+        else:
+            ends = [_power(tok) for tok in body.split("..")]
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse schedule {spec!r}") from exc
-    if len(ends) > 2 or ends[0][0] != ends[-1][0]:
-        raise InvalidArgumentError(f"schedule {spec!r} is not one range of powers of one base")
-    (base, lo), (_, hi) = ends[0], ends[-1]
-    return _power_range(spec, base, lo, hi)
+    if not listed:
+        if len(ends) > 2 or ends[0][0] != ends[-1][0]:
+            raise InvalidArgumentError(f"schedule {spec!r} is not one range of powers of one base")
+        (base, lo), (_, hi) = ends[0], ends[-1]
+        counts = _power_range(spec, base, lo, hi)
+    return _check_counts(counts)
 
 
-#: Exponents below which a base of 2 or more has powers that round to 0.0.
-_UNDERFLOW = -1100
-
-
-def _power_range(spec: str, base: int, lo: int, hi: int) -> list:
+def _power_range(spec: str, base: int, lo: int, hi: int) -> list[int]:
     """base^k for k = lo..hi: the counts of a range.
 
-    The positive counts are added up as they are built, and once their total
-    passes MAX_INTERVALS, ResourceLimitError is raised, as _build_schedule
-    would raise for the whole list; no power past that point is computed.  A
-    range that is not listed in full otherwise holds a count below 1 and
-    raises InvalidArgumentError, as uniform_partition would for that count.
+    Exponents must be nonnegative, and a range of more than one count needs a
+    base of at least 2.  The powers stop at the first one whose running total
+    passes MAX_INTERVALS (ResourceLimitError).  A single power past the cap
+    is sized by its exponent and sign, and never computed.
     """
     if lo > hi:
         return []
-    if base == 0 and lo < 0:
-        raise InvalidArgumentError(f"schedule {spec!r} raises 0 to a negative power")
-    if abs(base) <= 1:
-        # a count of 1 at every k (base 1), at even k (base -1) or at k = 0 (base 0)
-        ones = {1: hi - lo + 1, -1: hi // 2 - (lo - 1) // 2, 0: int(lo <= 0 <= hi)}[base]
-        check_interval_count(ones, "a schedule")
-        # a longer range holds a count below 1
-        ks = range(lo, hi + 1) if hi - lo < MAX_INTERVALS else range(0)
-    else:
-        top = 0  # the last k with |base^k| <= MAX_INTERVALS
-        while abs(base) ** (top + 1) <= MAX_INTERVALS:
-            top += 1
-        # past top every count is above the cap, and one is positive unless
-        # the only one is an odd power of a negative base
-        first = max(lo, top + 1)
-        if first < hi or (first == hi and (base > 0 or hi % 2 == 0)):
-            check_interval_count(abs(base) ** (top + 1), "a schedule")
-        ks = range(max(lo, _UNDERFLOW), min(hi, top) + 1)
-    counts, total = [], 0
-    for k in ks:
-        n = base ** k
-        if n > 0:
-            total += n
-            check_interval_count(total, "a schedule")
-        counts.append(n)
-    if len(counts) < hi - lo + 1:
-        raise InvalidArgumentError(f"schedule {spec!r} has counts below 1")
+    if lo < 0:
+        raise InvalidArgumentError(f"schedule {spec!r} has a negative exponent")
+    if lo < hi and base < 2:
+        raise InvalidArgumentError(f"schedule {spec!r} is a range of powers of a base below 2")
+    if abs(base) >= 2 and lo >= MAX_INTERVALS.bit_length():
+        # |base^lo| >= 2^lo > MAX_INTERVALS
+        if base < 0 and lo % 2:
+            raise InvalidArgumentError(f"schedule {spec!r} has a count below 1")
+        check_interval_count(MAX_INTERVALS + 1, "a schedule")
+    counts = []
+    for k in range(lo, hi + 1):
+        counts.append(base ** k)
+        check_interval_count(sum(counts), "a schedule")
     return counts
 
 
@@ -144,16 +129,30 @@ def _power(token: str) -> tuple[int, int]:
     return int(base), int(k)
 
 
+def _check_counts(counts: list[int]) -> list[int]:
+    """A schedule's interval counts, checked before any partition is built:
+    they must strictly increase from 1 (InvalidArgumentError), and then add
+    up to at most MAX_INTERVALS (ResourceLimitError)."""
+    for i, n in enumerate(counts):
+        if n <= (counts[i - 1] if i else 0):
+            raise InvalidArgumentError(
+                f"schedule counts must strictly increase from 1, and count {i + 1} "
+                f"of {len(counts)} does not"
+            )
+    check_interval_count(sum(counts), "a schedule")
+    return counts
+
+
 def _schedule_counts(raw) -> list[int]:
-    """The interval counts of a schedule: a string for parse_schedule, or a
-    list of whole numbers."""
+    """The checked interval counts of a schedule: a string for
+    parse_schedule, or a list of whole numbers."""
     if isinstance(raw, str):
         return parse_schedule(raw)
     if not isinstance(raw, list) or not all(
         type(x) is int or (type(x) is float and x.is_integer()) for x in raw
     ):
         raise InvalidArgumentError(f"schedule {raw!r} is not a list of whole interval counts")
-    return [int(x) for x in raw]
+    return _check_counts([int(x) for x in raw])
 
 
 def _read_json(path: str):
@@ -180,16 +179,14 @@ def _load_config(path: str) -> dict:
 
 
 def _build_schedule(cfg, args):
-    raw = getattr(args, "schedule", None) or cfg.get("schedule")
+    raw = args.schedule or cfg.get("schedule")
     if raw is None:
         raise InvalidArgumentError("no schedule given (config or --schedule)")
-    tag_rule = getattr(args, "tag_rule", None) or cfg.get("tagRule", "mid")
-    seed = cfg["seed"] if getattr(args, "seed", None) is None else args.seed
+    tag_rule = args.tag_rule or cfg.get("tagRule", "mid")
+    seed = cfg["seed"] if args.seed is None else args.seed
     with schema_faults("schedule"):
-        counts = _schedule_counts(raw)
-        check_interval_count(sum(n for n in counts if n > 0), "a schedule")
         return [uniform_partition(n, tag_rule, seed=None if tag_rule != "random" else seed + i)
-                for i, n in enumerate(counts)]
+                for i, n in enumerate(_schedule_counts(raw))]
 
 
 #: Numeric settings: command-line attribute -> (config key, default).
@@ -219,14 +216,6 @@ def _load_problem(args):
     return cfg, f, _build_schedule(cfg, args)
 
 
-def _report_outputs(report, args):
-    payload = report.to_json(timings=args.timings)
-    text = _dump(payload, args.json)
-    if args.csv:
-        _write(args.csv, report.to_csv(timings=args.timings))
-    return text
-
-
 def _cmd_integrate(args) -> int:
     cfg, f, schedule = _load_problem(args)
     candidate = None
@@ -245,7 +234,10 @@ def _cmd_integrate(args) -> int:
         delta_step=_setting(args, cfg, "prune_delta"),
         hull_tol=_setting(args, cfg, "hull_tol"),
     )
-    sys.stdout.write(_report_outputs(report, args))
+    text = _dump(report.to_json(timings=args.timings), args.json)
+    if args.csv:
+        _write(args.csv, report.to_csv(timings=args.timings))
+    sys.stdout.write(text)
     sys.stdout.write(f"verdict: {report.verdict.status}\n")
     return report.exit_code
 
@@ -273,19 +265,6 @@ def _cmd_convexity(args) -> int:
     return 0 if hull <= 2 * tol else 3
 
 
-def _cmd_pushforward(args) -> int:
-    cfg, f, schedule = _load_problem(args)
-    with schema_faults("matrix"):
-        p = np.asarray(_read_json(args.matrix), dtype=float)
-    report = pushforward_check(
-        f, p, schedule,
-        tol=_setting(args, cfg, "tol"),
-        delta_step=_setting(args, cfg, "prune_delta"),
-    )
-    sys.stdout.write(_report_outputs(report, args))
-    return report.exit_code
-
-
 def _load_vectors(path: str):
     obj = _read_json(path)
     with schema_faults("vectors"):
@@ -300,13 +279,18 @@ def _load_vectors(path: str):
 
 def _cmd_balance(args) -> int:
     space, xs = _load_vectors(args.vectors)
+    if space is not None and (args.norm or args.infratype):
+        raise InvalidArgumentError(
+            "--norm and --infratype apply to a bare array of vectors; "
+            "a {space, vectors} document declares its own space"
+        )
     if space is None:
         infratype = None
         if args.infratype:
             with schema_faults("--infratype"):
                 p, c = (float(x) for x in args.infratype.split(","))
             infratype = (p, c)
-        space = SpaceDescriptor(xs.shape[1], args.norm, infratype)
+        space = SpaceDescriptor(xs.shape[1], args.norm or "l2", infratype)
     if args.mode == "exact":
         signs, value = bal.sign_balance_exact(xs, space)
     else:
@@ -314,7 +298,6 @@ def _cmd_balance(args) -> int:
     out = {"value": value, "signs": signs.tolist()}
     if space.infratype is not None:
         p, c = space.infratype
-        from .spaces import norms
         bound = c * float((norms(space, xs) ** p).sum() ** (1.0 / p))
         out["bound"] = bound
         out["satisfied"] = bool(value <= bound + 1e-12)
@@ -413,38 +396,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prune-delta", type=float, default=None,
                        help="per-step pruning radius (default from config, else 0)")
         p.add_argument("--seed", type=int, default=None)
-
-    def hull_tol(p):
         p.add_argument("--hull-tol", type=float, default=None,
                        help="hull-distance certificate tolerance (default 1e-8)")
-
-    def table(p):
-        p.add_argument("--csv", help="write the per-mesh CSV table to this path")
-        p.add_argument("--timings", action="store_true",
-                       help="emit wall-clock times (breaks byte-identical reruns)")
 
     p = sub.add_parser("integrate", help="run a convergence schedule")
     p.add_argument("--candidate", help="JSON file with candidate limit points")
     common(p)
-    hull_tol(p)
-    table(p)
+    p.add_argument("--csv", help="write the per-mesh CSV table to this path")
+    p.add_argument("--timings", action="store_true",
+                   help="emit wall-clock times (breaks byte-identical reruns)")
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("convexity", help="convexity defect of a computed limit")
     common(p)
-    hull_tol(p)
     p.set_defaults(func=_cmd_convexity)
-
-    p = sub.add_parser("pushforward", help="compare P(S(F,T)) with S(P o F, T)")
-    p.add_argument("--matrix", required=True, help="JSON file with the matrix rows")
-    common(p)
-    table(p)
-    p.set_defaults(func=_cmd_pushforward)
 
     p = sub.add_parser("balance", help="sign balancing of a vector family")
     p.add_argument("--vectors", required=True, help="JSON array of vectors, or {space, vectors}")
-    p.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2")
-    p.add_argument("--infratype", help="declared 'p,C' pair for the bound check")
+    p.add_argument("--norm", choices=("l1", "l2", "linf"),
+                   help="norm of a bare array of vectors (default l2)")
+    p.add_argument("--infratype", help="declared 'p,C' pair for a bare array's bound check")
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_balance)

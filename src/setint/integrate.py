@@ -1,5 +1,5 @@
-"""Riemann sums with a pruning ledger, limit detection, the pushforward check
-and the convexity defect of a limit.
+"""Riemann sums with a pruning ledger, limit detection and the convexity
+defect of a limit.
 
 A Riemann sum accumulates scaled values left to right with Minkowski addition,
 pruning after every step with a fixed delta.  Pruning error is additive under
@@ -309,54 +309,3 @@ def convexity_defect(limit: PrunedSet, hull_tol: float = 1e-8) -> tuple[float, f
     half = scale(0.5, limit.base)
     avg = minkowski(half, half)
     return hausdorff(limit.base, avg), hausdorff_hulls(limit.base, avg, hull_tol)
-
-
-def operator_norm(space_norm: str, p: np.ndarray) -> float:
-    """Induced norm of matrix p when domain and codomain share a norm family."""
-    p = np.asarray(p, dtype=float)
-    if space_norm == "l1":
-        return float(np.abs(p).sum(axis=0).max()) if p.size else 0.0
-    if space_norm == "linf":
-        return float(np.abs(p).sum(axis=1).max()) if p.size else 0.0
-    return float(np.linalg.svd(p, compute_uv=False)[0]) if p.size else 0.0
-
-
-def pushforward_check(
-    f: Multifunction,
-    p: np.ndarray,
-    schedule: list[TaggedPartition],
-    tol: float = 1e-6,
-    delta_step: float = 0.0,
-) -> ConvergenceReport:
-    """Compare P(S(F,T)) with S(P o F, T) along the schedule.
-
-    Each row groups its terms once (riemann_terms, under F's semantics) and
-    sums them twice: as they are, and with every value mapped by P.  Without
-    pruning the two sets coincide; with pruning they agree within
-    (1 + ||P||) times the ledger.
-    """
-    from .spaces import SpaceDescriptor
-
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[1] != f.space.dim:
-        raise InvalidArgumentError(
-            f"matrix of shape {p.shape} cannot map from dimension {f.space.dim}"
-        )
-    target = SpaceDescriptor(p.shape[0], f.space.norm)
-    rows = []
-    for t in schedule:
-        start = time.perf_counter()
-        weights, counts, values = riemann_terms(f, t, delta_step)
-        s = sum_terms((weights, counts, values), delta_step)
-        mapped = PointSet(target, s.base.points @ p.T)
-        pf_values = tuple(PointSet(target, val.points @ p.T) for val in values)
-        s_pf = sum_terms((weights, counts, pf_values), delta_step)
-        mid = time.perf_counter()
-        dist = hausdorff(mapped, s_pf.base)
-        end = time.perf_counter()
-        budget = s_pf.err_bound + operator_norm(f.space.norm, p) * s.err_bound
-        rows.append(Row(t.mesh, dist, budget, len(s_pf.base),
-                        (mid - start) * 1000.0, (end - mid) * 1000.0))
-    ok = all(r.distance <= r.prune_error + tol for r in rows)
-    verdict = Verdict("converged" if ok else "inconclusive", None)
-    return ConvergenceReport(tuple(rows), verdict)

@@ -186,15 +186,12 @@ def test_missing_multifunction_exit_schema(tmp_path):
     assert run(["integrate", "--config", str(path)]) == EXIT_SCHEMA
 
 
-@pytest.mark.parametrize("command", ["integrate", "convexity", "pushforward"])
+@pytest.mark.parametrize("command", ["integrate", "convexity"])
 def test_bound_violation_exit_schema(tmp_path, capsys, command):
     cfg = triangle_cfg()
     cfg["multifunction"]["boundM"] = 0.1
     cfg["multifunction"]["body"]["inner"]["boundM"] = 0.1
-    argv = [command, "--config", write_json(tmp_path, "cfg.json", cfg)]
-    if command == "pushforward":
-        argv += ["--matrix", write_json(tmp_path, "p.json", [[1.0, 1.0]])]
-    assert run(argv) == EXIT_SCHEMA
+    assert run([command, "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
     assert "declared norm bound" in capsys.readouterr().err
 
 
@@ -214,14 +211,10 @@ def test_bound_violation_on_a_narrow_piece_exit_schema(tmp_path, capsys):
 @pytest.mark.parametrize("command, flag", [
     ("convexity", ["--csv", "rows.csv"]),
     ("convexity", ["--timings"]),
-    ("pushforward", ["--hull-tol", "1e-8"]),
 ])
 def test_removed_flags_are_rejected(tmp_path, command, flag):
-    argv = [command, "--config", triangle_config(tmp_path), *flag]
-    if command == "pushforward":
-        argv += ["--matrix", write_json(tmp_path, "p.json", [[1.0, 1.0]])]
     with pytest.raises(SystemExit) as exc:
-        run(argv)
+        run([command, "--config", triangle_config(tmp_path), *flag])
     assert exc.value.code == 2  # argparse's usage error
 
 
@@ -380,39 +373,6 @@ def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
     assert [code for code, _ in in_one_process] == [3, 0, 0, 0]
 
 
-def test_pushforward_command(tmp_path, capsys):
-    cfg = triangle_config(tmp_path)
-    mat = tmp_path / "p.json"
-    mat.write_text(json.dumps([[1.0, 1.0]]))
-    assert run(["pushforward", "--config", cfg, "--matrix", str(mat)]) == 0
-
-
-def test_pushforward_of_a_hull_body_sums_under_hull_semantics(tmp_path):
-    # each row groups the triangle's intervals into one term of weight 1, so
-    # both sides keep its 3 points
-    cfg = triangle_config(tmp_path)
-    mat = write_json(tmp_path, "p.json", [[1.0, 2.0], [0.5, -1.0]])
-    out = tmp_path / "out.json"
-    assert run(["pushforward", "--config", cfg, "--matrix", mat, "--json", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert [r["cardinality"] for r in report["rows"]] == [3, 3, 3]
-    assert [r["distance"] for r in report["rows"]] == [0.0, 0.0, 0.0]
-    assert report["verdict"] == "converged"
-
-
-def test_pushforward_dimension_mismatch_exit_schema(tmp_path):
-    cfg = triangle_config(tmp_path)
-    mat = tmp_path / "p.json"
-    mat.write_text(json.dumps([[1.0, 1.0, 1.0]]))
-    assert run(["pushforward", "--config", cfg, "--matrix", str(mat)]) == EXIT_SCHEMA
-
-
-def test_pushforward_malformed_matrix_exit_schema(tmp_path, capsys):
-    mat = write_json(tmp_path, "p.json", [["a", "b"]])
-    assert run(["pushforward", "--config", triangle_config(tmp_path), "--matrix", mat]) == EXIT_SCHEMA
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_balance_command(tmp_path, capsys):
     vecs = tmp_path / "v.json"
     vecs.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
@@ -422,6 +382,17 @@ def test_balance_command(tmp_path, capsys):
     assert code == 0
     assert out["satisfied"] is True
     assert len(out["signs"]) == 3
+
+
+@pytest.mark.parametrize("flag", [["--norm", "linf"], ["--infratype", "2,0.001"]])
+def test_balance_of_a_space_document_rejects_space_flags(tmp_path, capsys, flag):
+    # the document declares its own space; a flag for another would be ignored
+    doc = {"space": {"dim": 2, "norm": "l1", "infratype": None}, "vectors": [[1.0, 0.0]]}
+    vecs = write_json(tmp_path, "v.json", doc)
+    assert run(["balance", "--vectors", vecs, *flag]) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == "" and _one_line(cap.err, "error: ")
+    assert run(["balance", "--vectors", vecs]) == 0
 
 
 @pytest.mark.parametrize("infratype", ["abc", "2"])
@@ -578,9 +549,12 @@ def test_a_range_far_past_the_cap_exits_resource_at_once(tmp_path, capsys):
 
 
 def _listed_range(base, lo, hi):
-    """A range's counts listed in full, then checked as a schedule is."""
-    counts = [base ** k for k in range(lo, hi + 1)]
-    check_interval_count(sum(n for n in counts if n > 0), "a schedule")
+    """A range's counts listed in full, then checked as a schedule is: whole
+    counts that strictly increase from 1, then their total."""
+    counts = [base ** k for k in range(lo, hi + 1)]  # a negative k gives a float
+    if not all(type(n) is int and prev < n for prev, n in zip([0, *counts], counts)):
+        raise InvalidArgumentError("not whole counts that strictly increase from 1")
+    check_interval_count(sum(counts), "a schedule")
     return counts
 
 
@@ -590,24 +564,19 @@ _RANGES = [(lo, hi) for lo in range(-3, 9) for hi in range(-3, 9)] + [(1, 150), 
 @pytest.mark.parametrize("base", [-65, -64, -8, -3, -2, -1, 0, 1, 2, 3, 8, 64, 65])
 def test_power_ranges_list_the_counts_or_fail_as_the_listed_counts_would(monkeypatch, base):
     # with a cap of 2^6, ranges reach and pass the cap cheaply: each parses
-    # to its listed counts, or raises ResourceLimitError where they would,
-    # or InvalidArgumentError where they hold a count below 1
+    # to its listed counts, or raises the error of the first rule they break
     monkeypatch.setattr("setint.partition.MAX_INTERVALS", 64)
     monkeypatch.setattr("setint.cli.MAX_INTERVALS", 64)
     for lo, hi in _RANGES:
         spec = f"uniform:{base}^{lo}..{base}^{hi}"
         try:
             want = _listed_range(base, lo, hi)
-        except (ResourceLimitError, ZeroDivisionError) as exc:
+        except (InvalidArgumentError, ResourceLimitError, ZeroDivisionError) as exc:
             error = ResourceLimitError if isinstance(exc, ResourceLimitError) else InvalidArgumentError
             with pytest.raises(error):
                 parse_schedule(spec)
             continue
-        try:
-            got = parse_schedule(spec)
-        except InvalidArgumentError:
-            assert min(want) < 1, spec
-            continue
+        got = parse_schedule(spec)
         assert got == want and [type(n) for n in got] == [type(n) for n in want], spec
 
 
@@ -624,6 +593,28 @@ def test_a_range_with_no_valid_count_exits_with_one_line(tmp_path, capsys, sched
     assert time.perf_counter() - start < 0.1
     prefix = "error: " if code == EXIT_SCHEMA else "resource limit: "
     assert _one_line(capsys.readouterr().err, prefix)
+
+
+@pytest.mark.parametrize("schedule", [
+    "uniform:1^1..1^16777216",  # 2^24 one-interval partitions
+    "4,2",
+    "2,2",
+    f"{MAX_INTERVALS},1",  # past the cap too, but not increasing first
+    "uniform:1^1..1^16777217",
+    "uniform:1^-1",  # a negative exponent, which would be a float count
+])
+def test_a_schedule_that_does_not_increase_exits_before_any_partition(
+        tmp_path, monkeypatch, capsys, schedule):
+    def no_partition(*args, **kwargs):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr("setint.cli.uniform_partition", no_partition)
+    cfg = triangle_config(tmp_path)
+    start = time.perf_counter()
+    assert run(["integrate", "--config", cfg, "--schedule", schedule]) == EXIT_SCHEMA
+    assert time.perf_counter() - start < 0.1
+    cap = capsys.readouterr()
+    assert cap.out == "" and _one_line(cap.err, "error: ")
 
 
 @pytest.mark.parametrize("flag", ["--json", "--csv"])
@@ -676,7 +667,7 @@ def _mutate(cfg, path, action):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    command=st.sampled_from(["integrate", "convexity", "pushforward"]),
+    command=st.sampled_from(["integrate", "convexity"]),
     mutations=st.lists(
         st.tuples(st.sampled_from(FUZZ_PATHS),
                   st.sampled_from(["drop", *range(len(FUZZ_VALUES))])),
@@ -687,11 +678,8 @@ def test_fuzzed_config_exits_with_documented_code(tmp_path_factory, command, mut
     for path, action in mutations:
         _mutate(cfg, path, action)
     work = tmp_path_factory.mktemp("fuzz")
-    argv = [command, "--config", write_json(work, "cfg.json", cfg)]
-    if command == "pushforward":
-        argv += ["--matrix", write_json(work, "p.json", [[1.0, 1.0]])]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run(argv)
+        code = run([command, "--config", write_json(work, "cfg.json", cfg)])
     assert code in FUZZ_EXIT_CODES, err.getvalue()
     assert "Traceback" not in err.getvalue()

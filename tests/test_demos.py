@@ -1,12 +1,15 @@
 """Smoke tests of the demos and of the README quick start: each runs to the
-end and prints its summary."""
+end and prints its summary.  The README's CLI lines must parse."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from setint.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +38,16 @@ def test_readme_quick_start_runs():
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["converged", "[0.0, 0.0, 0.0]"]
+
+
+def _readme_cli_lines():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("setint ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_lines_parse(line):
+    # parsed only: a removed or renamed command or option fails here
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert args.command == line.split()[1]

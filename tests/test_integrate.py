@@ -13,8 +13,6 @@ from setint.integrate import (
     ConvergenceReport,
     convexity_defect,
     integrate,
-    operator_norm,
-    pushforward_check,
     riemann_sum,
     riemann_terms,
     sum_terms,
@@ -27,7 +25,6 @@ from setint.partition import (
     Multifunction,
     PiecewiseConstant,
     eval_mf,
-    eval_mf_many,
     halve_with_tags,
     inner_of,
     random_partition,
@@ -243,18 +240,32 @@ def test_riemann_sum_equals_term_by_term_sum(space, t, body, delta):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.02])
-def test_pushforward_sum_equals_term_by_term_sum(delta):
-    f = _mixed_degree_mf(l2(2))
+@pytest.mark.parametrize("space, target, order", [(l1(2), l1(3), 1), (l2(2), l2(3), 2),
+                                                   (linf(2), linf(3), np.inf)],
+                         ids=["l1", "l2", "linf"])
+@pytest.mark.parametrize("body", ["moving", "piecewise", "hull-piecewise"])
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 0.02])
+def test_linear_image_of_a_sum_is_the_sum_of_linear_images(space, target, order, body, delta):
+    # P S(F, T) = S(P o F, T) for a linear P, within the two ledgers:
+    # ||P|| times that of S(F, T) and that of S(P o F, T)
+    rng = np.random.default_rng(6)
+    a, b = (PointSet(space, rng.uniform(-1.0, 1.0, (3, space.dim))) for _ in range(2))
+    f = (_mixed_degree_mf(space) if body == "moving" else
+         Multifunction(space, PiecewiseConstant((0.0, 0.4, 0.6, 1.0), (a, b, a)), 3.0, 6.0))
+    if body.startswith("hull"):
+        f = Multifunction(space, ConvexHullOf(f), 3.0, 6.0)
     p = np.array([[1.0, -0.5], [0.25, 2.0], [1e-13, 0.0]])
-    target = l2(3)
     t = uniform_partition(6, tag_rule="random", seed=9)
     weights, counts, values = riemann_terms(f, t, delta)
     mapped = tuple(PointSet(target, val.points @ p.T) for val in values)
-    got = sum_terms((weights, counts, mapped), delta).base.points
+    s_pf = sum_terms((weights, counts, mapped), delta)
     want = _term_by_term_sum(f, t, delta, transform=(p, target)).points
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(s_pf.base.points, want)
+    assert np.array_equal(np.signbit(s_pf.base.points), np.signbit(want))
+    s = sum_terms((weights, counts, values), delta)
+    image = PointSet(target, s.base.points @ p.T)
+    bound = s_pf.err_bound + np.linalg.norm(p, order) * s.err_bound
+    assert hausdorff(image, s_pf.base) <= bound + 1e-12
 
 
 def test_integrate_candidate_converged():
@@ -332,56 +343,6 @@ def test_convexity_defect_and_check():
     finite, hull = convexity_defect(s)
     assert hull <= 1e-8
     assert finite > 0.01  # the 9-point set is not its own half-sum
-
-
-def test_operator_norm_families():
-    p = np.array([[1.0, -2.0], [0.0, 3.0]])
-    assert operator_norm("l1", p) == 5.0  # max column abs sum
-    assert operator_norm("linf", p) == 3.0  # max row abs sum
-    assert operator_norm("l2", p) == pytest.approx(np.linalg.svd(p, compute_uv=False)[0])
-
-
-def test_pushforward_exact_without_pruning():
-    f = segment_mf(l2(2))
-    p = np.array([[1.0, 1.0]])
-    report = pushforward_check(f, p, [uniform_partition(n) for n in (2, 4, 8)])
-    assert report.verdict.status == "converged"
-    assert all(r.distance == 0.0 for r in report.rows)
-
-
-def test_pushforward_with_pruning_within_budget():
-    space = l2(2)
-    rng = np.random.default_rng(2)
-    pts = PointSet(space, rng.standard_normal((5, 2)))
-    f = Multifunction(space, Constant(pts), bound_m=10.0, diam_bound=10.0)
-    p = np.array([[2.0, 0.0], [0.0, 0.5]])
-    report = pushforward_check(f, p, [uniform_partition(n) for n in (2, 4)], delta_step=1e-3)
-    assert report.verdict.status == "converged"
-    for row in report.rows:
-        assert row.distance <= row.prune_error + 1e-6
-
-
-@pytest.mark.parametrize("hull", [True, False], ids=["hull", "raw"])
-@pytest.mark.parametrize("delta", [0.0, 1e-3])
-def test_pushforward_evaluates_each_row_once(monkeypatch, hull, delta):
-    # both sums of a row share its grouped terms: one evaluation of its tags
-    f = hull_segment_mf(l2(2)) if hull else segment_mf(l2(2))
-    calls = []
-
-    def counted(g, tags):
-        calls.append(len(tags))
-        return eval_mf_many(g, tags)
-
-    monkeypatch.setattr(INTEGRATE, "eval_mf_many", counted)
-    report = pushforward_check(f, np.array([[1.0, 2.0], [0.5, -1.0]]),
-                               [uniform_partition(n) for n in (2, 4, 8)], delta_step=delta)
-    assert calls == [2, 4, 8]
-    assert report.verdict.status == "converged"
-
-
-def test_pushforward_shape_mismatch():
-    with pytest.raises(InvalidArgumentError):
-        pushforward_check(segment_mf(), np.ones((2, 3)), [uniform_partition(2)])
 
 
 def test_integrate_witness_mode_diverges():
