@@ -15,12 +15,10 @@ from .balance import (
 )
 from .counterexamples import (
     DIVERGENCE_BOUND,
-    eps_orthogonality_check,
     hilbert_example_sum_norm,
     l1_counterexample_bruteforce,
     l1_counterexample_eval,
     l1_counterexample_lower_bound,
-    reverse_orthogonality_constant,
     simplex_generators,
     witness_distance,
 )
@@ -36,7 +34,6 @@ from .integrate import (
     ConvergenceReport,
     Row,
     Verdict,
-    convexity_defect,
     integrate,
     riemann_sum,
 )

@@ -109,13 +109,20 @@ def estimate_infratype_constant(
     bound on the best constant for (space, p), 1 < p <= 2.
 
     Stream order: the standard basis family first (the canonical witness),
-    then ``trials`` Gaussian families of size drawn from [2, n_max].
+    then ``trials`` Gaussian families of size drawn from [2, n_max].  The
+    basis family has ``space.dim`` vectors, so a dimension above
+    MAX_EXACT_VECTORS raises ResourceLimitError before any trial.
     """
     check_infratype_exponent(p)
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     if not 2 <= n_max <= MAX_EXACT_VECTORS:
         raise InvalidArgumentError(f"n_max must lie in [2, {MAX_EXACT_VECTORS}]")
+    if space.dim > MAX_EXACT_VECTORS:
+        raise ResourceLimitError(
+            f"dimension {space.dim} exceeds the cap {MAX_EXACT_VECTORS}: the standard "
+            "basis family is balanced exactly, one vector per dimension"
+        )
     rng = np.random.default_rng(seed)
     best = infratype_ratio(np.eye(space.dim), p, space)
     for _ in range(trials):

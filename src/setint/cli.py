@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: integrate, convexity, balance, infratype, select, counterexample.
+Subcommands: integrate, balance, infratype, select, counterexample.
 JSON is the machine interface, CSV the plotting interface; re-running with
 the same config and seed yields byte-identical files (the CSV ms column is
 zero unless --timings is given, which is documented to break byte-identity).
@@ -9,10 +9,9 @@ Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
 1 when a solver fails to certify; 64 on schema or argument violations (a
 non-finite or negative tol, hull tolerance, pruning radius or declared bound
 among them, an infratype exponent outside (1, 2], a zero hull tolerance for
-a hull body, convexity of a body whose limit is never built, and an output
-path that cannot be written); 70 on resource limits (a schedule or partition
-of more than partition.MAX_INTERVALS intervals, and an allocation that runs
-out of memory, among them).
+a hull body, and an output path that cannot be written); 70 on resource
+limits (a schedule or partition of more than partition.MAX_INTERVALS
+intervals, and an allocation that runs out of memory, among them).
 
 A schedule's interval counts are checked before any partition is built:
 they must be whole numbers that strictly increase from 1 (else 64), and
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import balance as bal
 from . import counterexamples as cex
-from .integrate import convexity_defect, integrate as run_integrate
+from .integrate import integrate as run_integrate
 from .errors import (
     ConfigError,
     InvalidArgumentError,
@@ -207,17 +206,11 @@ def _setting(args, cfg: dict, attr: str) -> float:
     return value
 
 
-def _load_problem(args):
-    """Config, multifunction (declared bounds checked) and schedule of a
-    report command."""
+def _cmd_integrate(args) -> int:
     cfg = _load_config(args.config)
     f = mf_from_json(cfg["multifunction"])
     validate_bounds(f, samples=100, seed=cfg["seed"])
-    return cfg, f, _build_schedule(cfg, args)
-
-
-def _cmd_integrate(args) -> int:
-    cfg, f, schedule = _load_problem(args)
+    schedule = _build_schedule(cfg, args)
     candidate = None
     cand_obj = cfg.get("candidate")
     if args.candidate:
@@ -240,29 +233,6 @@ def _cmd_integrate(args) -> int:
     sys.stdout.write(text)
     sys.stdout.write(f"verdict: {report.verdict.status}\n")
     return report.exit_code
-
-
-def _cmd_convexity(args) -> int:
-    cfg, f, schedule = _load_problem(args)
-    if isinstance(f.body, CounterexampleL1):
-        raise UnsupportedOperationError(
-            "convexity needs a computed limit, and a counterexample_l1 body has none: "
-            "its divergence is certified by the witness bound without building the sums"
-        )
-    tol = _setting(args, cfg, "tol")
-    hull_tol = _setting(args, cfg, "hull_tol")
-    report = run_integrate(f, schedule, tol=tol, delta_step=_setting(args, cfg, "prune_delta"),
-                           hull_tol=hull_tol)
-    limit = report.verdict.limit
-    finite, hull = convexity_defect(limit, hull_tol)
-    out = {
-        "finiteDistance": finite,
-        "hullDistance": hull,
-        "pruneError": limit.err_bound,
-        "cardinality": len(limit.base),
-    }
-    sys.stdout.write(_dump(out, args.json))
-    return 0 if hull <= 2 * tol else 3
 
 
 def _load_vectors(path: str):
@@ -387,29 +357,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="setint", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True)
-        p.add_argument("--schedule", help="interval counts: '2,4,8' or 'uniform:2^1..2^8'")
-        p.add_argument("--tag-rule", choices=("left", "right", "mid", "random"))
-        p.add_argument("--json", help="write JSON output to this path")
-        p.add_argument("--tol", type=float, default=None, help="convergence tolerance (default 1e-6)")
-        p.add_argument("--prune-delta", type=float, default=None,
-                       help="per-step pruning radius (default from config, else 0)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--hull-tol", type=float, default=None,
-                       help="hull-distance certificate tolerance (default 1e-8)")
-
     p = sub.add_parser("integrate", help="run a convergence schedule")
     p.add_argument("--candidate", help="JSON file with candidate limit points")
-    common(p)
+    p.add_argument("--config", required=True)
+    p.add_argument("--schedule", help="interval counts: '2,4,8' or 'uniform:2^1..2^8'")
+    p.add_argument("--tag-rule", choices=("left", "right", "mid", "random"))
+    p.add_argument("--json", help="write JSON output to this path")
+    p.add_argument("--tol", type=float, default=None, help="convergence tolerance (default 1e-6)")
+    p.add_argument("--prune-delta", type=float, default=None,
+                   help="per-step pruning radius (default from config, else 0)")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--hull-tol", type=float, default=None,
+                   help="hull-distance certificate tolerance (default 1e-8)")
     p.add_argument("--csv", help="write the per-mesh CSV table to this path")
     p.add_argument("--timings", action="store_true",
                    help="emit wall-clock times (breaks byte-identical reruns)")
     p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("convexity", help="convexity defect of a computed limit")
-    common(p)
-    p.set_defaults(func=_cmd_convexity)
 
     p = sub.add_parser("balance", help="sign balancing of a vector family")
     p.add_argument("--vectors", required=True, help="JSON array of vectors, or {space, vectors}")

@@ -103,52 +103,3 @@ def l1_counterexample_bruteforce(cfg: CounterexampleL1, parts: int | None = None
     y = np.zeros(cfg.trunc_dim)
     y[:k] = 1.0 / k
     return float(np.abs(y - counts / m).sum(axis=1).min())
-
-
-def reverse_orthogonality_constant(eps: float) -> float:
-    """(1 - eps) / (2 - eps): the constant with which eps-orthogonality of G
-    to E transfers back from E to G.  eps = 1/2 gives 1/3."""
-    if not 0.0 <= eps < 1.0:
-        raise InvalidArgumentError("eps must lie in [0, 1)")
-    return (1.0 - eps) / (2.0 - eps)
-
-
-def eps_orthogonality_check(
-    block_e: tuple[int, int],
-    block_g: tuple[int, int],
-    dim: int,
-    samples: int = 1000,
-    seed: int = 0,
-):
-    """Empirical orthogonality defect between two disjoint l1 coordinate blocks.
-
-    Samples random pairs supported on the blocks and measures the worst defect
-    of ||e + g|| >= (1 - eps) ||e||.  Disjoint supports make the l1 norm
-    additive, so the defect is zero and the reverse constant is 1/2.  Both
-    inequalities are asserted on every sample, with the defect measured so
-    far: the defect only grows, so this is the stricter test.  Blocks are
-    half-open index ranges.  Returns (eps_hat, reverse constant).
-    """
-    e0, e1 = block_e
-    g0, g1 = block_g
-    if not (0 <= e0 < e1 <= dim and 0 <= g0 < g1 <= dim):
-        raise InvalidArgumentError("blocks must be nonempty index ranges inside the space")
-    if max(e0, g0) < min(e1, g1):
-        raise InvalidArgumentError("blocks must be disjoint")
-    rng = np.random.default_rng(seed)
-    eps_hat, rev = 0.0, reverse_orthogonality_constant(0.0)
-    for _ in range(samples):
-        e = np.zeros(dim)
-        g = np.zeros(dim)
-        e[e0:e1] = rng.standard_normal(e1 - e0)
-        g[g0:g1] = rng.standard_normal(g1 - g0)
-        norm_e = np.abs(e).sum()
-        norm_sum = np.abs(e + g).sum()
-        if norm_e > 0 and 1.0 - norm_sum / norm_e > eps_hat:
-            eps_hat = 1.0 - norm_sum / norm_e
-            rev = reverse_orthogonality_constant(eps_hat)
-        if norm_sum + 1e-12 < (1.0 - eps_hat) * norm_e:
-            raise InvalidArgumentError("forward orthogonality inequality failed")
-        if norm_sum + 1e-12 < rev * np.abs(g).sum():
-            raise InvalidArgumentError("reverse orthogonality inequality failed")
-    return eps_hat, rev

@@ -1,5 +1,4 @@
-"""Riemann sums with a pruning ledger, limit detection and the convexity
-defect of a limit.
+"""Riemann sums with a pruning ledger, and limit detection.
 
 A Riemann sum accumulates scaled values left to right with Minkowski addition,
 pruning after every step with a fixed delta.  Pruning error is additive under
@@ -34,7 +33,6 @@ from .setops import (
     minkowski,
     minkowski_power,
     prune,
-    scale,
     scale_many,
 )
 
@@ -301,11 +299,3 @@ def _integrate_witness(f, schedule, tol) -> ConvergenceReport:
     else:
         verdict = Verdict("inconclusive", None, None, low)
     return ConvergenceReport(tuple(rows), verdict)
-
-
-def convexity_defect(limit: PrunedSet, hull_tol: float = 1e-8) -> tuple[float, float]:
-    """(finite-set, hull-based) distance between the limit and its halved
-    Minkowski self-average."""
-    half = scale(0.5, limit.base)
-    avg = minkowski(half, half)
-    return hausdorff(limit.base, avg), hausdorff_hulls(limit.base, avg, hull_tol)

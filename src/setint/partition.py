@@ -106,6 +106,8 @@ def uniform_partition(n: int, tag_rule: str = "mid", seed=None) -> TaggedPartiti
 
 def random_partition(n: int, seed=None) -> TaggedPartition:
     """Random breakpoints (sorted uniforms) with random tags; for sampling."""
+    if n < 1:
+        raise InvalidArgumentError("need at least one interval")
     check_interval_count(n)
     rng = np.random.default_rng(seed)
     inner = np.sort(rng.random(n - 1)) if n > 1 else np.empty(0)

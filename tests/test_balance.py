@@ -20,7 +20,7 @@ from setint.balance import (
 from setint.errors import InvalidArgumentError, ResourceLimitError
 from setint.partition import Constant, ConvexHullOf, Multifunction, uniform_partition
 from setint.setops import PointSet
-from setint.spaces import hilbert_c1, l1, l2, norm, norms
+from setint.spaces import hilbert_c1, l1, l2, linf, norm
 
 
 def brute_force_balance(m, space):
@@ -52,6 +52,16 @@ def test_sign_balance_cancelling_pair():
     m = np.array([[1.0, 0.0], [1.0, 0.0]])
     _, value = sign_balance_exact(m, l2(2))
     assert value == 0.0
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf], ids=["l1", "l2", "linf"])
+def test_infratype_estimate_checks_the_dimension_before_any_trial(monkeypatch, make):
+    def no_trial(*args):
+        raise AssertionError("a family was balanced")
+
+    monkeypatch.setattr("setint.balance.infratype_ratio", no_trial)
+    with pytest.raises(ResourceLimitError, match=f"dimension 25 exceeds the cap {MAX_EXACT_VECTORS}"):
+        estimate_infratype_constant(make(MAX_EXACT_VECTORS + 1), 2.0, 5, 4, 0)
 
 
 def test_sign_balance_size_cap():

@@ -186,12 +186,11 @@ def test_missing_multifunction_exit_schema(tmp_path):
     assert run(["integrate", "--config", str(path)]) == EXIT_SCHEMA
 
 
-@pytest.mark.parametrize("command", ["integrate", "convexity"])
-def test_bound_violation_exit_schema(tmp_path, capsys, command):
+def test_bound_violation_exit_schema(tmp_path, capsys):
     cfg = triangle_cfg()
     cfg["multifunction"]["boundM"] = 0.1
     cfg["multifunction"]["body"]["inner"]["boundM"] = 0.1
-    assert run([command, "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
+    assert run(["integrate", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
     assert "declared norm bound" in capsys.readouterr().err
 
 
@@ -208,33 +207,18 @@ def test_bound_violation_on_a_narrow_piece_exit_schema(tmp_path, capsys):
     assert "declared norm bound 1.0 violated at t=0.5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("convexity", ["--csv", "rows.csv"]),
-    ("convexity", ["--timings"]),
+@pytest.mark.parametrize("args", [
+    pytest.param([], id="bare"),
+    pytest.param(["--config"], id="config"),
+    pytest.param(["--config", "--hull-tol", "0"], id="config-hull-tol"),
 ])
-def test_removed_flags_are_rejected(tmp_path, command, flag):
+def test_removed_convexity_command_is_rejected(tmp_path, args):
+    argv = ["convexity", *args]
+    if "--config" in argv:
+        argv.insert(argv.index("--config") + 1, triangle_config(tmp_path))
     with pytest.raises(SystemExit) as exc:
-        run([command, "--config", triangle_config(tmp_path), *flag])
+        run(argv)
     assert exc.value.code == 2  # argparse's usage error
-
-
-def test_convexity_command(tmp_path, capsys):
-    cfg = triangle_config(tmp_path)
-    code = run(["convexity", "--config", cfg])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert out["hullDistance"] <= 2e-6
-
-
-def test_convexity_of_the_l1_counterexample_exit_schema(tmp_path, capsys):
-    # its rows come from the witness bound, and no limit is ever built
-    cfg = triangle_cfg()
-    cfg["multifunction"] = {"space": {"dim": 7, "norm": "l1"}, "boundM": 1.0, "diamBound": 2.0,
-                            "body": {"kind": "counterexample_l1", "n": 3, "N": 7}}
-    del cfg["candidate"]
-    assert run(["convexity", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "counterexample_l1" in err
 
 
 def _hull_with_inner_space(norm: str) -> dict:
@@ -293,27 +277,13 @@ def test_schema_fault_exit_schema(tmp_path, capsys, command, flag, document):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["integrate", "convexity"])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_hull_tol_zero_exit_schema_in_integrate_and_convexity(tmp_path, command, source):
+def test_hull_tol_zero_exit_schema(tmp_path, source):
     if source == "flag":
         argv = ["--config", triangle_config(tmp_path), "--hull-tol", "0"]
     else:
         argv = ["--config", triangle_config(tmp_path, hullTol=0.0)]
-    assert run([command, *argv]) == EXIT_SCHEMA
-
-
-@pytest.mark.parametrize("flags, overrides, code", [
-    pytest.param([], {}, 0, id="default"),
-    pytest.param(["--tol", "0"], {}, 3, id="flag-zero"),
-    pytest.param([], {"tol": 1e-9}, 3, id="config"),
-    pytest.param(["--tol", "1e-6"], {"tol": 1e-9}, 0, id="flag-over-config"),
-])
-def test_convexity_resolves_tol_like_integrate(tmp_path, monkeypatch, flags, overrides, code):
-    # a hull defect of 1e-7 passes iff it is within 2 * tol
-    monkeypatch.setattr("setint.cli.convexity_defect", lambda limit, hull_tol: (0.0, 1e-7))
-    cfg = triangle_config(tmp_path, **overrides)
-    assert run(["convexity", "--config", cfg, *flags]) == code
+    assert run(["integrate", *argv]) == EXIT_SCHEMA
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -335,13 +305,12 @@ def test_non_finite_setting_exit_schema(tmp_path, capsys, source, flag, key, val
     ("--tol", "tol"), ("--hull-tol", "hullTol"), ("--prune-delta", "deltaStep"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command", ["integrate", "convexity"])
-def test_negative_setting_exit_schema(tmp_path, capsys, command, source, flag, key):
+def test_negative_setting_exit_schema(tmp_path, capsys, source, flag, key):
     if source == "flag":
         argv = ["--config", triangle_config(tmp_path), f"{flag}=-1"]  # "-1" reads as a flag
     else:
         argv = ["--config", triangle_config(tmp_path, **{key: -1.0})]
-    assert run([command, *argv]) == EXIT_SCHEMA
+    assert run(["integrate", *argv]) == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and (flag if source == "flag" else f'"{key}"') in err
 
@@ -354,7 +323,6 @@ def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
     cfg = triangle_config(tmp_path)
     calls = [
         ["integrate", "--config", cfg, "--tol", "0"],
-        ["convexity", "--config", cfg],
         ["integrate", "--config", cfg],
         ["counterexample", "hilbert", "--partition", "8"],
     ]
@@ -370,7 +338,7 @@ def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
     in_one_process = outputs(fresh=False)
     assert build_parser() is build_parser()
     assert in_one_process == outputs(fresh=True)
-    assert [code for code, _ in in_one_process] == [3, 0, 0, 0]
+    assert [code for code, _ in in_one_process] == [3, 0, 0]
 
 
 def test_balance_command(tmp_path, capsys):
@@ -414,6 +382,17 @@ def test_infratype_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["estimate"] == 1.0
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_infratype_dimension_past_the_exact_cap_exits_resource(monkeypatch, capsys, norm):
+    def no_trial(*args):
+        raise AssertionError("a family was balanced")
+
+    monkeypatch.setattr("setint.balance.infratype_ratio", no_trial)
+    assert run(["infratype", "--norm", norm, "--dim", "25"]) == EXIT_RESOURCE
+    cap = capsys.readouterr()
+    assert cap.out == "" and _one_line(cap.err, "resource limit: dimension 25 exceeds the cap 24")
 
 
 @pytest.mark.parametrize("p", ["0", "1", "nan", "-1", "5"])
@@ -466,6 +445,15 @@ def test_counterexample_l1_diverges_exit_2(tmp_path, capsys):
 
 def _one_line(err: str, prefix: str) -> bool:
     return err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("random", [pytest.param([], id="uniform"),
+                                    pytest.param(["--random"], id="random")])
+@pytest.mark.parametrize("n", [0, -3])
+def test_hilbert_partition_below_one_exits_schema(capsys, n, random):
+    assert run(["counterexample", "hilbert", f"--partition={n}", *random]) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: need at least one interval\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -667,19 +655,18 @@ def _mutate(cfg, path, action):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    command=st.sampled_from(["integrate", "convexity"]),
     mutations=st.lists(
         st.tuples(st.sampled_from(FUZZ_PATHS),
                   st.sampled_from(["drop", *range(len(FUZZ_VALUES))])),
         min_size=1, max_size=2),
 )
-def test_fuzzed_config_exits_with_documented_code(tmp_path_factory, command, mutations):
+def test_fuzzed_config_exits_with_documented_code(tmp_path_factory, mutations):
     cfg = copy.deepcopy(FUZZ_BASE)
     for path, action in mutations:
         _mutate(cfg, path, action)
     work = tmp_path_factory.mktemp("fuzz")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run([command, "--config", write_json(work, "cfg.json", cfg)])
+        code = run(["integrate", "--config", write_json(work, "cfg.json", cfg)])
     assert code in FUZZ_EXIT_CODES, err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -6,12 +6,10 @@ import pytest
 
 from setint.counterexamples import (
     DIVERGENCE_BOUND,
-    eps_orthogonality_check,
     hilbert_example_sum_norm,
     l1_counterexample_bruteforce,
     l1_counterexample_eval,
     l1_counterexample_lower_bound,
-    reverse_orthogonality_constant,
     simplex_generators,
     witness_distance,
 )
@@ -143,21 +141,3 @@ def test_generators_dimension_cap():
     with pytest.raises(ResourceLimitError):
         simplex_generators(big)
     assert l1_counterexample_lower_bound(big) == witness_distance(3, 7, 3)
-
-
-def test_reverse_orthogonality_constant():
-    assert reverse_orthogonality_constant(0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert reverse_orthogonality_constant(0.0) == 0.5
-    with pytest.raises(InvalidArgumentError):
-        reverse_orthogonality_constant(1.0)
-
-
-def test_eps_orthogonality_disjoint_blocks():
-    eps_hat, rev = eps_orthogonality_check((0, 3), (3, 6), dim=6, samples=500, seed=0)
-    assert eps_hat == 0.0  # disjoint l1 supports are exactly additive
-    assert rev == 0.5
-
-
-def test_eps_orthogonality_rejects_overlap():
-    with pytest.raises(InvalidArgumentError):
-        eps_orthogonality_check((0, 3), (2, 5), dim=6)

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo, summary", [
     pytest.param(demo, summary, id=demo) for demo, summary in (
         ("convergence_rate", "log-log slope: "),
-        ("convexification", "while the hull defect stays at solver tolerance: the limit is convex"),
+        ("convexification", "the finite defect (distance to the averaged set) decays like 1/n"),
         ("divergence_vs_hull", "  brute force : "),
     )
 ])

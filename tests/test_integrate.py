@@ -10,8 +10,6 @@ import pytest
 
 from setint.errors import InvalidArgumentError, ResourceLimitError
 from setint.integrate import (
-    ConvergenceReport,
-    convexity_defect,
     integrate,
     riemann_sum,
     riemann_terms,
@@ -336,13 +334,15 @@ def test_halved_partition_identity_exact():
     assert hausdorff(lhs, half) == 0.0
 
 
-def test_convexity_defect_and_check():
-    space = l1(2)
-    seg = PointSet(space, np.array([[0.0, 0.0], [1.0, 0.0]]))
-    s = riemann_sum(segment_mf(), uniform_partition(8))
-    finite, hull = convexity_defect(s)
-    assert hull <= 1e-8
-    assert finite > 0.01  # the 9-point set is not its own half-sum
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("space", [l1(2), l2(2), linf(2)], ids=["l1", "l2", "linf"])
+def test_finite_convexity_defect_of_a_riemann_sum(space, n):
+    # the n-interval sum of a segment is n + 1 equally spaced points; their
+    # half-sum fills in the midpoints, so the finite defect is 1/(2n) -> 0
+    s = riemann_sum(segment_mf(space), uniform_partition(n)).base
+    half = scale(0.5, s)
+    assert len(s) == n + 1
+    assert hausdorff(s, minkowski(half, half)) == pytest.approx(1.0 / (2 * n), abs=1e-15)
 
 
 def test_integrate_witness_mode_diverges():

@@ -57,6 +57,12 @@ def test_random_partition_deterministic():
     assert not np.array_equal(a.breakpoints, random_partition(10, seed=4).breakpoints)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_random_partition_needs_an_interval(n):
+    with pytest.raises(InvalidArgumentError, match="^need at least one interval$"):
+        random_partition(n, seed=0)
+
+
 def test_partition_validation():
     with pytest.raises(InvalidArgumentError):
         TaggedPartition(np.array([0.0, 0.5, 0.4, 1.0]), np.array([0.1, 0.45, 0.7]))
