@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: integrate, balance, infratype, select, counterexample.
+Subcommands: integrate, balance, infratype, select.  The l1
+counterexample family runs through integrate, as a counterexample_l1 body.
 JSON is the machine interface, CSV the plotting interface; re-running with
 the same config and seed yields byte-identical files (the CSV ms column is
 zero unless --timings is given, which is documented to break byte-identity).
@@ -11,7 +12,9 @@ non-finite or negative tol, hull tolerance, pruning radius or declared bound
 among them, an infratype exponent outside (1, 2], a zero hull tolerance for
 a hull body, and an output path that cannot be written); 70 on resource
 limits (a schedule or partition of more than partition.MAX_INTERVALS
-intervals, and an allocation that runs out of memory, among them).
+intervals, a counterexample_l1 dimension above partition.L1_DIM_CAP, a
+witness cardinality with more digits than Python converts to a string, and
+an allocation that runs out of memory, among them).
 
 A schedule's interval counts are checked before any partition is built:
 they must be whole numbers that strictly increase from 1 (else 64), and
@@ -29,7 +32,6 @@ import sys
 import numpy as np
 
 from . import balance as bal
-from . import counterexamples as cex
 from .integrate import integrate as run_integrate
 from .errors import (
     ConfigError,
@@ -41,15 +43,12 @@ from .errors import (
 )
 from .partition import (
     MAX_INTERVALS,
-    CounterexampleL1,
     check_interval_count,
-    eval_mf,
     mf_from_json,
-    random_partition,
     uniform_partition,
     validate_bounds,
 )
-from .setops import PointSet, hausdorff_hulls, pointset_from_json
+from .setops import PointSet, pointset_from_json
 from .spaces import SpaceDescriptor, c1_constant, norms, space_from_json
 
 EXIT_SCHEMA = 64
@@ -275,16 +274,11 @@ def _cmd_balance(args) -> int:
     return 0
 
 
-def _seed(args) -> int:
-    """The --seed of a command that draws random numbers with it."""
+def _cmd_infratype(args) -> int:
     if args.seed < 0:
         raise InvalidArgumentError("--seed must be nonnegative")
-    return args.seed
-
-
-def _cmd_infratype(args) -> int:
     space = SpaceDescriptor(args.dim, args.norm)
-    est = bal.estimate_infratype_constant(space, args.p, args.trials, args.nmax, _seed(args))
+    est = bal.estimate_infratype_constant(space, args.p, args.trials, args.nmax, args.seed)
     out = {
         "estimate": est,
         "p": args.p,
@@ -314,42 +308,6 @@ def _cmd_select(args) -> int:
         out["satisfied"] = bool(value <= bound + 1e-12)
     sys.stdout.write(_dump(out, args.json))
     return 0
-
-
-def _cmd_counterexample(args) -> int:
-    if args.family == "hilbert":
-        seed = _seed(args) if args.random else None
-        with schema_faults("--partition"):
-            t = (random_partition(args.partition, seed=seed) if args.random
-                 else uniform_partition(args.partition, "mid"))
-        value = cex.hilbert_example_sum_norm(t, distinct_tags=not args.shared_tags)
-        out = {
-            "sumNorm": value,
-            "mesh": t.mesh,
-            "meshBound": float(np.sqrt(t.mesh)),
-            "verdict": "converged" if value <= np.sqrt(t.mesh) + 1e-12 else "inconclusive",
-        }
-        sys.stdout.write(_dump(out, args.json))
-        return 0 if out["verdict"] == "converged" else 3
-    cfg = CounterexampleL1(args.n, args.N)
-    # first, so that an N past L1_DIM_CAP exits before the witness bound
-    # divides by 2^n - 1, which no float holds from n = 1024 on
-    simplex = cex.simplex_generators(cfg)
-    bound = cex.l1_counterexample_lower_bound(cfg)
-    out = {
-        "bound": bound,
-        "referenceBound": cex.DIVERGENCE_BOUND,
-        "parts": cfg.parts,
-        "witnessSupport": cfg.witness_support,
-    }
-    if args.bruteforce:
-        out["bruteforce"] = cex.l1_counterexample_bruteforce(cfg)
-        out["oracleAgrees"] = bool(abs(out["bruteforce"] - bound) <= 1e-12)
-    f = cex.l1_counterexample_eval(cfg)
-    out["convDistance"] = hausdorff_hulls(eval_mf(f, 0.0), simplex)
-    out["verdict"] = "diverged" if bound >= cex.DIVERGENCE_BOUND else "inconclusive"
-    sys.stdout.write(_dump(out, args.json))
-    return 2 if out["verdict"] == "diverged" else 3
 
 
 @functools.cache
@@ -398,19 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("greedy", "exhaustive"), default="greedy")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_select)
-
-    p = sub.add_parser("counterexample", help="the two explicit constructions")
-    p.add_argument("family", choices=("hilbert", "l1"))
-    p.add_argument("--partition", type=int, default=100, help="hilbert: interval count")
-    p.add_argument("--random", action="store_true", help="hilbert: random partition")
-    p.add_argument("--shared-tags", action="store_true",
-                   help="hilbert: allow coinciding tags")
-    p.add_argument("--n", type=int, default=3, help="l1: partition exponent")
-    p.add_argument("--N", type=int, default=16, help="l1: truncation dimension")
-    p.add_argument("--bruteforce", action="store_true", help="l1: run the oracle too")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json")
-    p.set_defaults(func=_cmd_counterexample)
 
     return ap
 

@@ -32,18 +32,17 @@ DIVERGENCE_BOUND = 1.0 / 24.0
 _ORACLE_CAP = 1_000_000
 
 
-def hilbert_example_sum_norm(t: TaggedPartition, distinct_tags: bool = True) -> float:
+def hilbert_example_sum_norm(t: TaggedPartition) -> float:
     """Norm of the Riemann sum of the orthonormal-continuum map.
 
-    With pairwise distinct tags the sum is a combination of orthonormal
-    vectors, so its norm is (sum |interval|**2) ** 1/2 exactly.  If tags may
-    coincide, coefficients of equal tags are added before squaring.
+    The sum is a combination of the orthonormal vectors e_tag, so its norm
+    is (sum c**2) ** 1/2, where c adds the interval lengths of equal tags
+    (two intervals may share an endpoint tag).  With pairwise distinct tags
+    this is (sum |interval|**2) ** 1/2 exactly.
     """
-    w = t.widths
-    if not distinct_tags:
-        _, inverse = np.unique(t.tags, return_inverse=True)
-        w = np.bincount(inverse, weights=w)
-    return float(math.sqrt(float((w * w).sum())))
+    _, inverse = np.unique(t.tags, return_inverse=True)
+    c = np.bincount(inverse, weights=t.widths)
+    return float(math.sqrt(float((c * c).sum())))
 
 
 def l1_counterexample_eval(cfg: CounterexampleL1) -> Multifunction:

@@ -12,6 +12,7 @@ power (see riemann_sum).
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -217,7 +218,8 @@ def integrate(
     candidate, consecutive sums are compared (Cauchy heuristic: last three
     gaps below tol/2).  For the l1 counterexample family divergence is
     certified through the witness integer program instead of materializing
-    the sums (see counterexamples.witness_distance).
+    the sums (see counterexamples.witness_distance); a witness row whose
+    cardinality has too many digits to print raises ResourceLimitError.
 
     Each row computes its grouped terms (riemann_terms) and compares them
     with the previous row's (_same_terms).  Where they are the same, as for a
@@ -277,9 +279,12 @@ def integrate(
 
 
 def _integrate_witness(f, schedule, tol) -> ConvergenceReport:
-    from .counterexamples import witness_distance  # local import to avoid a cycle
+    # local import to avoid a cycle
+    from .counterexamples import DIVERGENCE_BOUND, witness_distance
 
     body: CounterexampleL1 = f.body
+    # the most digits an int may have to print; no limit (0) before Python 3.10.7
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     rows = []
     for t in schedule:
         if not t.is_uniform():
@@ -292,9 +297,14 @@ def _integrate_witness(f, schedule, tol) -> ConvergenceReport:
         # Distinct points of the unmaterialized sum of len(t) copies of
         # {e_1..e_N} / len(t): the multisets of len(t) basis vectors.
         cardinality = math.comb(body.trunc_dim + len(t) - 1, len(t))
+        if digits and cardinality >= 10 ** digits:
+            raise ResourceLimitError(
+                f"the witness row of {len(t)} intervals has a cardinality of more than "
+                f"{digits} digits, past Python's limit for integer-to-string conversion"
+            )
         rows.append(Row(t.mesh, dist, 0.0, cardinality, distance_ms=ms))
     low = min(r.distance for r in rows)
-    if low >= max(tol, 1.0 / 24.0):
+    if low >= max(tol, DIVERGENCE_BOUND):
         verdict = Verdict("diverged", None, None, low)
     else:
         verdict = Verdict("inconclusive", None, None, low)

@@ -226,13 +226,17 @@ class CounterexampleL1:
     def witness_support(self) -> int:
         return 2 ** self.n - 1
 
-    def generators(self, space: SpaceDescriptor) -> PointSet:
-        """The value's points, the first N basis vectors, in ``space``."""
+    def check_dim_cap(self) -> None:
+        """Raise ResourceLimitError when N is above L1_DIM_CAP."""
         if self.trunc_dim > L1_DIM_CAP:
             raise ResourceLimitError(
                 f"truncation dimension {self.trunc_dim} is above the cap {L1_DIM_CAP} "
                 "of the N x N basis matrix"
             )
+
+    def generators(self, space: SpaceDescriptor) -> PointSet:
+        """The value's points, the first N basis vectors, in ``space``."""
+        self.check_dim_cap()
         return PointSet(space, np.eye(self.trunc_dim))
 
 
@@ -348,9 +352,12 @@ def validate_bounds(f: Multifunction, samples: int = 1000, seed: int = 0) -> Non
     A violation is a configuration error, embodying boundedness as a
     precondition rather than an inferred property.  Bodies with finitely many
     values (constant, piecewise constant, the l1 counterexample) are checked
-    exactly, each value once, at the first t that takes it.  Moving bodies
-    are checked on ``samples`` values of t (0, 1 and seeded uniforms), all
-    evaluated in one pass; the first violating sample is reported.
+    exactly, each value once, at the first t that takes it.  The l1
+    counterexample's value, the first N basis vectors of l1(N), has norm 1
+    and diameter 2, as any two of them have: two stand for all N.  Moving
+    bodies are checked on ``samples`` values of t (0, 1 and seeded
+    uniforms), all evaluated in one pass; the first violating sample is
+    reported.
     """
     body = f.body
     while isinstance(body, ConvexHullOf):
@@ -367,6 +374,9 @@ def validate_bounds(f: Multifunction, samples: int = 1000, seed: int = 0) -> Non
     elif isinstance(body, PiecewiseConstant):
         starts = np.clip(body.breaks[:-1], 0.0, 1.0)
         values = [(np.array([t]), s.points[None]) for t, s in zip(starts, body.sets)]
+    elif isinstance(body, CounterexampleL1):
+        body.check_dim_cap()
+        values = [(np.array([0.0]), np.eye(2, body.trunc_dim)[None])]
     else:
         values = [(np.array([0.0]), eval_mf(f, 0.0).points[None])]
     for ts, vals in values:

@@ -3,7 +3,9 @@ import copy
 import functools
 import io
 import json
+import math
 import operator
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, build_parser, parse_schedule, run
+from setint.counterexamples import witness_distance
 from setint.errors import InvalidArgumentError, ResourceLimitError
 from setint.partition import MAX_INTERVALS, check_interval_count
 
@@ -324,7 +327,7 @@ def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
     calls = [
         ["integrate", "--config", cfg, "--tol", "0"],
         ["integrate", "--config", cfg],
-        ["counterexample", "hilbert", "--partition", "8"],
+        ["infratype", "--norm", "l2", "--dim", "3", "--trials", "5", "--nmax", "4"],
     ]
 
     def outputs(fresh):
@@ -403,12 +406,8 @@ def test_infratype_exponent_outside_the_range_exit_schema(capsys, p):
     assert _one_line(cap.err, "error: infratype exponent must lie in (1, 2]")
 
 
-@pytest.mark.parametrize("argv", [
-    ["infratype", "--norm", "l2", "--trials", "5"],
-    ["counterexample", "hilbert", "--random", "--partition", "10"],
-])
-def test_negative_seed_exit_schema(capsys, argv):
-    assert run([*argv, "--seed", "-1"]) == EXIT_SCHEMA
+def test_negative_seed_exit_schema(capsys):
+    assert run(["infratype", "--norm", "l2", "--trials", "5", "--seed", "-1"]) == EXIT_SCHEMA
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -425,66 +424,43 @@ def test_select_command(tmp_path, capsys):
     assert out["value"] <= out["bound"]
 
 
-def test_counterexample_hilbert(tmp_path, capsys):
-    code = run(["counterexample", "hilbert", "--partition", "100"])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert out["sumNorm"] == pytest.approx(0.1, abs=1e-12)
-    assert out["verdict"] == "converged"
+def counterexample_l1_cfg(n: int, n_dim: int, schedule) -> dict:
+    return {"version": CONFIG_VERSION, "schedule": schedule,
+            "multifunction": {"space": {"dim": n_dim, "norm": "l1"}, "boundM": 1.0,
+                              "diamBound": 2.0,
+                              "body": {"kind": "counterexample_l1", "n": n, "N": n_dim}}}
 
 
-def test_counterexample_l1_diverges_exit_2(tmp_path, capsys):
-    code = run(["counterexample", "l1", "--n", "3", "--N", "16", "--bruteforce"])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert out["verdict"] == "diverged"
-    assert out["oracleAgrees"] is True
-    assert out["bound"] > out["referenceBound"]
-    assert out["convDistance"] <= 1e-8  # the value's hull is the simplex
+def test_integrate_counterexample_l1_reports_the_witness_rows(tmp_path, capsys):
+    cfg = write_json(tmp_path, "cfg.json", counterexample_l1_cfg(3, 16, [1, 2, 3]))
+    assert run(["integrate", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert out.endswith("}\nverdict: diverged\n")
+    rows = json.loads(out.rsplit("verdict: ", 1)[0])["rows"]
+    assert [r["distance"] for r in rows] == [witness_distance(3, 16, m) for m in (1, 2, 3)]
+    assert [r["cardinality"] for r in rows] == [math.comb(16 + m - 1, m) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["hilbert", "--partition", "100"], id="hilbert"),
+    pytest.param(["l1", "--n", "3", "--N", "16"], id="l1"),
+])
+def test_removed_counterexample_command_is_rejected(args):
+    with pytest.raises(SystemExit) as exc:
+        run(["counterexample", *args])
+    assert exc.value.code == 2  # argparse's usage error
 
 
 def _one_line(err: str, prefix: str) -> bool:
     return err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("random", [pytest.param([], id="uniform"),
-                                    pytest.param(["--random"], id="random")])
-@pytest.mark.parametrize("n", [0, -3])
-def test_hilbert_partition_below_one_exits_schema(capsys, n, random):
-    assert run(["counterexample", "hilbert", f"--partition={n}", *random]) == EXIT_SCHEMA
-    cap = capsys.readouterr()
-    assert cap.out == "" and cap.err == "error: need at least one interval\n"
-
-
-@pytest.mark.parametrize("argv", [
-    pytest.param(["l1", "--n", "4", "--N", "40", "--bruteforce"],
-                 id="oracle-53524680-count-vectors"),
-    # never allocated: the cap is checked before the N x N basis matrix
-    pytest.param(["l1", "--n", "3", "--N", str(10 ** 10)], id="l1-dimension"),
-    pytest.param(["l1", "--n", "3", "--N", str(10 ** 10), "--bruteforce"],
-                 id="l1-dimension-oracle"),
-    # the witness bound divides by 2^1100 - 1, which no float holds
-    pytest.param(["l1", "--n", "1100", "--N", str(2 ** 1100)], id="l1-witness-past-floats"),
-])
-def test_counterexample_past_a_cap_exits_resource(capsys, argv):
-    assert run(["counterexample", *argv]) == EXIT_RESOURCE
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    assert _one_line(cap.err, "resource limit: ")
-    assert "prune" not in cap.err  # these have no operand to prune
-
-
-@pytest.mark.parametrize("argv", [
-    pytest.param(["counterexample", "hilbert", "--partition", "10000000"], id="hilbert"),
-    pytest.param(["integrate", "--schedule", "10000000"], id="integrate"),
-])
-def test_out_of_memory_exits_resource(tmp_path, monkeypatch, capsys, argv):
+def test_out_of_memory_exits_resource(tmp_path, monkeypatch, capsys):
     def no_memory(*args, **kwargs):  # nothing is allocated for real
         raise MemoryError("Unable to allocate 7.45 GiB")
 
     monkeypatch.setattr("setint.cli.uniform_partition", no_memory)
-    if argv[0] == "integrate":
-        argv = [*argv, "--config", triangle_config(tmp_path)]
+    argv = ["integrate", "--schedule", "10000000", "--config", triangle_config(tmp_path)]
     assert run(argv) == EXIT_RESOURCE
     cap = capsys.readouterr()
     assert cap.out == ""
@@ -501,24 +477,36 @@ def test_integrate_counterexample_l1_past_the_dimension_cap_exits_resource(tmp_p
     assert _one_line(capsys.readouterr().err, "resource limit: ")
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["counterexample", "hilbert", "--partition", str(10 ** 20)], id="hilbert-uniform"),
-    pytest.param(["counterexample", "hilbert", "--partition", str(10 ** 20), "--random"],
-                 id="hilbert-random"),
-    pytest.param(["counterexample", "hilbert", "--partition", str(MAX_INTERVALS + 1)],
-                 id="hilbert-one-past-the-cap"),
-    pytest.param(["integrate", "--schedule", "uniform:2^1..2^99"], id="integrate-range"),
+def test_witness_cardinality_past_the_digit_limit_exits_resource(tmp_path, capsys):
+    # C(1024 + 8191, 8192) has 1,394 digits: past a limit of 640, as the
+    # schedule [8388608] is past the default of 4,300, without its 8 M tags
+    assert len(str(math.comb(1024 + 8191, 8192))) == 1394
+    cfg = write_json(tmp_path, "cfg.json", counterexample_l1_cfg(3, 1024, [1, 8192]))
+    paths = [str(tmp_path / "out.json"), str(tmp_path / "rows.csv")]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run(["integrate", "--config", cfg, "--json", paths[0], "--csv", paths[1]])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_RESOURCE
+    cap = capsys.readouterr()
+    assert cap.out == "" and _one_line(cap.err, "resource limit: the witness row of 8192 ")
+    assert not any(Path(p).exists() for p in paths)
+
+
+@pytest.mark.parametrize("schedule", [
+    pytest.param("uniform:2^1..2^99", id="integrate-range"),
     # a total of more than 4,300 digits, which int-to-str conversion refuses
-    pytest.param(["integrate", "--schedule", "uniform:2^1..2^15000"], id="integrate-huge-range"),
-    pytest.param(["integrate", "--schedule", f"1,{MAX_INTERVALS}"], id="integrate-total"),
+    pytest.param("uniform:2^1..2^15000", id="integrate-huge-range"),
+    pytest.param(f"1,{MAX_INTERVALS}", id="integrate-total"),
 ])
-def test_interval_count_past_the_cap_exits_resource(tmp_path, monkeypatch, capsys, argv):
+def test_interval_count_past_the_cap_exits_resource(tmp_path, monkeypatch, capsys, schedule):
     def no_arrays(*args):
         raise AssertionError("a breakpoint array was built")
 
     monkeypatch.setattr("setint.partition._uniform_breakpoints", no_arrays)
-    if argv[0] == "integrate":
-        argv = [*argv, "--config", triangle_config(tmp_path)]
+    argv = ["integrate", "--config", triangle_config(tmp_path), "--schedule", schedule]
     assert run(argv) == EXIT_RESOURCE
     cap = capsys.readouterr()
     assert cap.out == ""

@@ -41,10 +41,7 @@ def test_hilbert_sum_norm_below_sqrt_mesh():
 def test_hilbert_sum_norm_coincident_tags():
     # both intervals tagged at the shared breakpoint: coefficients add first
     t = TaggedPartition(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.5]))
-    assert hilbert_example_sum_norm(t, distinct_tags=False) == 1.0
-    assert hilbert_example_sum_norm(t, distinct_tags=True) == pytest.approx(
-        math.sqrt(0.5)
-    )
+    assert hilbert_example_sum_norm(t) == 1.0
 
 
 def test_config_validation():

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from setint.counterexamples import DIVERGENCE_BOUND
 from setint.errors import InvalidArgumentError, ResourceLimitError
 from setint.integrate import (
     integrate,
@@ -351,7 +352,7 @@ def test_integrate_witness_mode_diverges():
     report = integrate(f, schedule)
     assert report.verdict.status == "diverged"
     assert report.exit_code == 2
-    assert all(r.distance >= 1.0 / 24.0 for r in report.rows)
+    assert all(r.distance >= DIVERGENCE_BOUND for r in report.rows)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setint import partition
-from setint.errors import ConfigError, InvalidArgumentError
+from setint.errors import ConfigError, InvalidArgumentError, ResourceLimitError
 from setint.partition import (
+    L1_DIM_CAP,
     Constant,
     ConvexHullOf,
     CounterexampleL1,
@@ -61,6 +64,12 @@ def test_random_partition_deterministic():
 def test_random_partition_needs_an_interval(n):
     with pytest.raises(InvalidArgumentError, match="^need at least one interval$"):
         random_partition(n, seed=0)
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_uniform_partition_needs_an_interval(n):
+    with pytest.raises(InvalidArgumentError, match="^need at least one interval$"):
+        uniform_partition(n)
 
 
 def test_partition_validation():
@@ -247,6 +256,36 @@ def test_validate_bounds_moving_matches_per_t_loop(space):
         assert results[0] == results[1]
         outcomes.append(results[0] is None)
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("hull", [False, True])
+@pytest.mark.parametrize("bound_m, diam", [(1.0, 2.0), (0.5, 2.0), (1.0, 1.5), (3.0, 9.0)])
+@pytest.mark.parametrize("n, trunc_dim", [(2, 3), (3, 7), (3, 16)])
+def test_validate_bounds_l1_counterexample_matches_per_t_loop(n, trunc_dim, bound_m, diam, hull):
+    # the closed form (norm 1, diameter 2) against every basis vector
+    f = Multifunction(l1(trunc_dim), CounterexampleL1(n, trunc_dim), bound_m, diam)
+    if hull:
+        f = Multifunction(l1(trunc_dim), ConvexHullOf(f), bound_m, diam)
+    results = []
+    for check in (validate_bounds, _validate_bounds_per_t):
+        try:
+            check(f, samples=2, seed=0)
+            results.append(None)
+        except ConfigError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+
+
+def test_validate_bounds_l1_counterexample_at_the_dimension_cap_is_fast():
+    f = Multifunction(l1(L1_DIM_CAP), CounterexampleL1(3, L1_DIM_CAP), 1.0, 2.0)
+    start = time.perf_counter()
+    validate_bounds(f)
+    assert time.perf_counter() - start < 0.25
+    with pytest.raises(ConfigError, match="^declared diameter bound 1.99 violated at t=0.0$"):
+        validate_bounds(Multifunction(f.space, f.body, 1.0, 1.99))
+    big = CounterexampleL1(3, L1_DIM_CAP + 1)
+    with pytest.raises(ResourceLimitError, match="above the cap"):
+        validate_bounds(Multifunction(l1(L1_DIM_CAP + 1), big, 1.0, 2.0))
 
 
 def test_validate_bounds_checks_every_piece_and_moving_curve_dims():
