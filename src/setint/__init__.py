@@ -28,7 +28,6 @@ from .errors import (
     ResourceLimitError,
     SetintError,
     SolverFailureError,
-    UnsupportedOperationError,
 )
 from .integrate import (
     ConvergenceReport,
@@ -71,9 +70,9 @@ from .setops import (
 )
 from .spaces import (
     SpaceDescriptor,
-    c1_constant,
     c1_from,
     hilbert_c1,
+    infratype_from_json,
     l1,
     l2,
     linf,

@@ -26,6 +26,9 @@ MAX_SELECTION_COMBOS = 1_000_000
 
 _ENUM_CHUNK = 1 << 16
 
+#: Tolerance of the check that each selection target lies in its set's hull.
+SELECTION_HULL_TOL = 1e-9
+
 
 def _as_matrix(xs, space: SpaceDescriptor) -> np.ndarray:
     m = np.asarray(xs, dtype=float)
@@ -47,7 +50,7 @@ def sign_balance_exact(xs, space: SpaceDescriptor):
     if n > MAX_EXACT_VECTORS:
         raise ResourceLimitError(
             f"{n} vectors exceed the exact enumeration cap {MAX_EXACT_VECTORS}; "
-            "use sign_balance_greedy"
+            "use sign_balance_greedy (--mode greedy)"
         )
     if n == 0:
         raise InvalidArgumentError("need at least one vector")
@@ -139,11 +142,10 @@ def estimate_infratype_constant(
 # Point selection (pick a_i in A_i close in sum to targets b_i in conv A_i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionProblem:
     sets: tuple[PointSet, ...]
     targets: np.ndarray = field(repr=False)
-    hull_tol: float = 1e-9
 
     def __post_init__(self):
         targets = np.asarray(self.targets, dtype=float)
@@ -154,8 +156,8 @@ class SelectionProblem:
             if s.space != space:
                 raise InvalidArgumentError("all sets must share one space")
         for s, b in zip(self.sets, targets):
-            val, gap = dist_point_to_hull(space, b, s, max(self.hull_tol, 1e-12))
-            if val - gap > self.hull_tol:
+            val, gap = dist_point_to_hull(space, b, s, SELECTION_HULL_TOL)
+            if val - gap > SELECTION_HULL_TOL:
                 raise InvalidArgumentError(
                     f"target {b} is not certified inside its hull (distance {val})"
                 )

@@ -5,6 +5,8 @@ counterexample family runs through integrate, as a counterexample_l1 body.
 JSON is the machine interface, CSV the plotting interface; re-running with
 the same config and seed yields byte-identical files (the CSV ms column is
 zero unless --timings is given, which is documented to break byte-identity).
+balance and select read documents whose space may declare an infratype
+[p, C]; a declaration adds its bound and whether it holds to the output.
 
 Exit codes: 0 converged / 2 diverged / 3 inconclusive for report commands;
 1 when a solver fails to certify; 64 on schema or argument violations (a
@@ -38,7 +40,6 @@ from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
     SolverFailureError,
-    UnsupportedOperationError,
     schema_faults,
 )
 from .partition import (
@@ -49,7 +50,7 @@ from .partition import (
     validate_bounds,
 )
 from .setops import PointSet, pointset_from_json
-from .spaces import SpaceDescriptor, c1_constant, norms, space_from_json
+from .spaces import SpaceDescriptor, c1_from, infratype_from_json, norms, space_from_json
 
 EXIT_SCHEMA = 64
 EXIT_RESOURCE = 70
@@ -176,12 +177,11 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _build_schedule(cfg, args):
+def _build_schedule(cfg, args, seed: int):
     raw = args.schedule or cfg.get("schedule")
     if raw is None:
         raise InvalidArgumentError("no schedule given (config or --schedule)")
     tag_rule = args.tag_rule or cfg.get("tagRule", "mid")
-    seed = cfg["seed"] if args.seed is None else args.seed
     with schema_faults("schedule"):
         return [uniform_partition(n, tag_rule, seed=None if tag_rule != "random" else seed + i)
                 for i, n in enumerate(_schedule_counts(raw))]
@@ -208,8 +208,9 @@ def _setting(args, cfg: dict, attr: str) -> float:
 def _cmd_integrate(args) -> int:
     cfg = _load_config(args.config)
     f = mf_from_json(cfg["multifunction"])
-    validate_bounds(f, samples=100, seed=cfg["seed"])
-    schedule = _build_schedule(cfg, args)
+    seed = cfg["seed"] if args.seed is None else args.seed
+    validate_bounds(f, samples=100, seed=seed)
+    schedule = _build_schedule(cfg, args, seed)
     candidate = None
     cand_obj = cfg.get("candidate")
     if args.candidate:
@@ -234,39 +235,20 @@ def _cmd_integrate(args) -> int:
     return report.exit_code
 
 
-def _load_vectors(path: str):
-    obj = _read_json(path)
+def _cmd_balance(args) -> int:
+    obj = _read_json(args.vectors)
     with schema_faults("vectors"):
-        if isinstance(obj, dict):
-            space, xs = space_from_json(obj["space"]), np.asarray(obj["vectors"], dtype=float)
-        else:
-            space, xs = None, np.asarray(obj, dtype=float)
+        space, infratype = space_from_json(obj["space"]), infratype_from_json(obj["space"])
+        xs = np.asarray(obj["vectors"], dtype=float)
     if xs.ndim != 2:
         raise InvalidArgumentError(f"vectors must be a 2-D array, got shape {xs.shape}")
-    return space, xs
-
-
-def _cmd_balance(args) -> int:
-    space, xs = _load_vectors(args.vectors)
-    if space is not None and (args.norm or args.infratype):
-        raise InvalidArgumentError(
-            "--norm and --infratype apply to a bare array of vectors; "
-            "a {space, vectors} document declares its own space"
-        )
-    if space is None:
-        infratype = None
-        if args.infratype:
-            with schema_faults("--infratype"):
-                p, c = (float(x) for x in args.infratype.split(","))
-            infratype = (p, c)
-        space = SpaceDescriptor(xs.shape[1], args.norm or "l2", infratype)
     if args.mode == "exact":
         signs, value = bal.sign_balance_exact(xs, space)
     else:
         signs, value = bal.sign_balance_greedy(xs, space)
     out = {"value": value, "signs": signs.tolist()}
-    if space.infratype is not None:
-        p, c = space.infratype
+    if infratype is not None:
+        p, c = infratype
         bound = c * float((norms(space, xs) ** p).sum() ** (1.0 / p))
         out["bound"] = bound
         out["satisfied"] = bool(value <= bound + 1e-12)
@@ -295,15 +277,15 @@ def _cmd_infratype(args) -> int:
 def _cmd_select(args) -> int:
     obj = _read_json(args.problem)
     with schema_faults("selection problem"):
-        space = space_from_json(obj["space"])
+        space, infratype = space_from_json(obj["space"]), infratype_from_json(obj["space"])
         sets = tuple(PointSet(space, np.asarray(p, dtype=float)) for p in obj["sets"])
         prob = bal.SelectionProblem(sets, np.asarray(obj["targets"], dtype=float))
     points, value = bal.select_points(prob, args.mode)
     out = {"points": points.tolist(), "value": value}
     ds = prob.diameters()
-    if space.infratype is not None:
-        p, _ = space.infratype
-        bound = c1_constant(space) * float((ds ** p).sum() ** (1.0 / p))
+    if infratype is not None:
+        p, c = infratype
+        bound = c1_from(p, c) * float((ds ** p).sum() ** (1.0 / p))
         out["bound"] = bound
         out["satisfied"] = bool(value <= bound + 1e-12)
     sys.stdout.write(_dump(out, args.json))
@@ -333,10 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("balance", help="sign balancing of a vector family")
-    p.add_argument("--vectors", required=True, help="JSON array of vectors, or {space, vectors}")
-    p.add_argument("--norm", choices=("l1", "l2", "linf"),
-                   help="norm of a bare array of vectors (default l2)")
-    p.add_argument("--infratype", help="declared 'p,C' pair for a bare array's bound check")
+    p.add_argument("--vectors", required=True, help="JSON {space, vectors}")
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_balance)
@@ -365,7 +344,7 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, ConfigError, UnsupportedOperationError) as exc:
+    except (InvalidArgumentError, ConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
     except (ResourceLimitError, MemoryError) as exc:

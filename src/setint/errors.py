@@ -11,10 +11,6 @@ class InvalidArgumentError(SetintError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedOperationError(SetintError):
-    """The operation is not available for the given inputs (e.g. no declared infratype)."""
-
-
 class ResourceLimitError(SetintError):
     """A hard enumeration / cardinality cap would be exceeded."""
 

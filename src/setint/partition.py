@@ -22,14 +22,14 @@ _TEL_TOL = 1e-12
 TAG_RULES = ("left", "right", "mid", "random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaggedPartition:
     breakpoints: np.ndarray = field(repr=False)
     tags: np.ndarray = field(repr=False)
     #: Interval lengths, computed once.  On the uniform grid each is the
     #: correctly rounded 1/n: differences of its rounded breakpoints are off
     #: by an ulp, and unequal widths would split equal points of a Riemann sum.
-    widths: np.ndarray = field(init=False, repr=False, compare=False)
+    widths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -60,9 +60,8 @@ class TaggedPartition:
     def __len__(self):
         return self.tags.shape[0]
 
-    def is_uniform(self, tol: float = _TEL_TOL) -> bool:
-        w = self.widths
-        return bool(np.ptp(w) <= tol)
+    def is_uniform(self) -> bool:
+        return bool(np.ptp(self.widths) <= _TEL_TOL)
 
 
 def _pick_tags(lo: np.ndarray, hi: np.ndarray, tag_rule: str, seed=None) -> np.ndarray:
@@ -172,7 +171,7 @@ class PiecewiseConstant:
         object.__setattr__(self, "sets", tuple(self.sets))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MovingFinite:
     """k point curves, each a polynomial with coefficient rows (deg+1, dim):
     g(t) = sum_j coeffs[j] * t**j."""
@@ -260,8 +259,7 @@ class Multifunction:
 
 
 def _space_name(space: SpaceDescriptor) -> str:
-    name = f"{space.norm}({space.dim})"
-    return name if space.infratype is None else f"{name} with infratype {space.infratype}"
+    return f"{space.norm}({space.dim})"
 
 
 def _check_body_space(space: SpaceDescriptor, body: Body) -> None:

@@ -142,9 +142,10 @@ def _checked_rows(space: SpaceDescriptor, points) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Nonempty finite point cloud in a space; stored deduplicated and sorted."""
+    """Nonempty finite point cloud in a space; stored deduplicated and sorted.
+    Equal only to itself: same_set compares contents."""
 
     space: SpaceDescriptor
     points: np.ndarray = field(repr=False)

@@ -1,10 +1,11 @@
 """Finite-dimensional normed spaces and their declared balancing parameters.
 
-A space is described by its dimension, a norm family (l1, l2 or linf) and an
-optional declared infratype pair ``(p, C)``: the promise that for every finite
-family of vectors the minimum over sign patterns of the norm of the signed sum
-is at most ``C * (sum ||x_i||**p) ** (1/p)``.  The declaration is trusted input;
-the balance module estimates lower bounds for the best constant empirically.
+A space is its dimension and a norm family (l1, l2 or linf).  A JSON space
+object may also declare an infratype (p, C), trusted and not part of the
+space, that the balance and select commands read with infratype_from_json:
+the promise that for every finite family of vectors the minimum over sign
+patterns of the norm of the signed sum is at most C * (sum ||x_i||**p)**(1/p).
+The balance module estimates lower bounds for the best constant empirically.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedOperationError
+from .errors import InvalidArgumentError
 
 NORM_FAMILIES = ("l1", "l2", "linf")
 
@@ -23,19 +24,12 @@ NORM_FAMILIES = ("l1", "l2", "linf")
 class SpaceDescriptor:
     dim: int
     norm: str = "l2"
-    infratype: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise InvalidArgumentError(f"dim must be a positive integer, got {self.dim!r}")
         if self.norm not in NORM_FAMILIES:
             raise InvalidArgumentError(f"norm must be one of {NORM_FAMILIES}, got {self.norm!r}")
-        if self.infratype is not None:
-            p, c = self.infratype
-            check_infratype_exponent(p)
-            if not c > 0:
-                raise InvalidArgumentError(f"infratype constant must be positive, got {c}")
-            object.__setattr__(self, "infratype", (float(p), float(c)))
         object.__setattr__(self, "dim", int(self.dim))
 
 
@@ -93,20 +87,24 @@ def c1_from(p: float, c: float) -> float:
     return 2.0 * c / (2.0 ** (1.0 - 1.0 / p) - 1.0)
 
 
-def c1_constant(space: SpaceDescriptor) -> float:
-    """Selection-error constant computed from the space's declared infratype."""
-    if space.infratype is None:
-        raise UnsupportedOperationError("space has no declared infratype")
-    p, c = space.infratype
-    return c1_from(p, c)
-
-
 def space_to_json(space: SpaceDescriptor) -> dict:
-    return {
-        "dim": space.dim,
-        "norm": space.norm,
-        "infratype": list(space.infratype) if space.infratype is not None else None,
-    }
+    return {"dim": space.dim, "norm": space.norm}
+
+
+def infratype_from_json(obj: dict) -> tuple[float, float] | None:
+    """The infratype (p, C) a JSON space object declares, or None; any other
+    declaration than null or [p, C] with 1 < p <= 2 and C > 0 raises
+    InvalidArgumentError."""
+    infratype = obj.get("infratype")
+    if infratype is None:
+        return None
+    if not (isinstance(infratype, (list, tuple)) and len(infratype) == 2):
+        raise InvalidArgumentError(f"infratype must be [p, C] or null, got {infratype!r}")
+    p, c = float(infratype[0]), float(infratype[1])
+    check_infratype_exponent(p)
+    if not c > 0:
+        raise InvalidArgumentError(f"infratype constant must be positive, got {c}")
+    return p, c
 
 
 def space_from_json(obj) -> SpaceDescriptor:
@@ -117,29 +115,26 @@ def space_from_json(obj) -> SpaceDescriptor:
         nf = obj["norm"]
     except KeyError as exc:
         raise InvalidArgumentError(f"space descriptor missing field {exc}") from exc
-    infratype = obj.get("infratype")
-    if infratype is not None:
-        if not (isinstance(infratype, (list, tuple)) and len(infratype) == 2):
-            raise InvalidArgumentError(f"infratype must be [p, C] or null, got {infratype!r}")
-        infratype = (float(infratype[0]), float(infratype[1]))
-    return SpaceDescriptor(dim=dim, norm=nf, infratype=infratype)
+    # a malformed declaration is a schema fault in every document
+    infratype_from_json(obj)
+    return SpaceDescriptor(dim=dim, norm=nf)
 
 
 #: Convenience constructors for the three families.
-def l1(dim: int, infratype=None) -> SpaceDescriptor:
-    return SpaceDescriptor(dim, "l1", infratype)
+def l1(dim: int) -> SpaceDescriptor:
+    return SpaceDescriptor(dim, "l1")
 
 
-def l2(dim: int, infratype=(2.0, 1.0)) -> SpaceDescriptor:
-    # (p=2, C=1) is valid for Euclidean norms: averaging the squared norm of the
-    # signed sum over all sign patterns gives exactly sum ||x_i||**2.
-    return SpaceDescriptor(dim, "l2", infratype)
+def l2(dim: int) -> SpaceDescriptor:
+    return SpaceDescriptor(dim, "l2")
 
 
-def linf(dim: int, infratype=None) -> SpaceDescriptor:
-    return SpaceDescriptor(dim, "linf", infratype)
+def linf(dim: int) -> SpaceDescriptor:
+    return SpaceDescriptor(dim, "linf")
 
 
 def hilbert_c1() -> float:
-    """The constant for (p, C) = (2, 1): 2 / (sqrt(2) - 1)."""
+    """The constant for (p, C) = (2, 1): 2 / (sqrt(2) - 1).  (2, 1) holds for
+    every Euclidean norm: averaging the squared norm of the signed sum over
+    all sign patterns gives exactly sum ||x_i||**2."""
     return 2.0 / (math.sqrt(2.0) - 1.0)

@@ -57,6 +57,16 @@ def triangle_config(tmp_path, **overrides):
     return write_json(tmp_path, "cfg.json", triangle_cfg(**overrides))
 
 
+def balance_doc(vectors, **space) -> dict:
+    return {"space": {"dim": 2, "norm": "l2", **space}, "vectors": vectors}
+
+
+def select_doc(**space) -> dict:
+    return {"space": {"dim": 2, "norm": "l2", **space},
+            "sets": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+            "targets": [[0.5, 0.0], [0.0, 0.5]]}
+
+
 def triangle_with_inner_body(body) -> dict:
     cfg = triangle_cfg()
     cfg["multifunction"]["body"]["inner"]["body"] = body
@@ -170,6 +180,19 @@ def test_l2_hull_solver_failure_exits_1_with_one_line(monkeypatch, capsys, nnls)
     assert "nan" not in cap.err and "None" not in cap.err
 
 
+@pytest.mark.parametrize("flag, key, want", [
+    pytest.param([], {}, 0, id="default"),
+    pytest.param(["--seed", "5"], {}, 5, id="flag"),
+    pytest.param([], {"seed": 5}, 5, id="config"),
+    pytest.param(["--seed", "5"], {"seed": 9}, 5, id="flag-over-config"),
+])
+def test_the_seed_reaches_the_bound_check(tmp_path, monkeypatch, flag, key, want):
+    seeds = []
+    monkeypatch.setattr("setint.cli.validate_bounds", lambda f, samples, seed: seeds.append(seed))
+    assert run(["integrate", "--config", triangle_config(tmp_path, **key), *flag]) == 0
+    assert seeds == [want]
+
+
 def test_schedule_override(tmp_path):
     cfg = triangle_config(tmp_path)
     jpath = tmp_path / "out.json"
@@ -269,7 +292,8 @@ def test_body_outside_the_multifunction_space_exits_schema(tmp_path, capsys, cfg
         **triangle_cfg()["multifunction"], "diamBound": float("nan")}), id="diamBound-nan"),
     pytest.param("balance", "--vectors", {"space": {"dim": 2, "norm": "l2"}, "vectors": "abc"},
                  id="vectors-not-numbers"),
-    pytest.param("balance", "--vectors", [1.0, 2.0], id="vectors-one-dimensional"),
+    pytest.param("balance", "--vectors", balance_doc([1.0, 2.0]), id="vectors-one-dimensional"),
+    pytest.param("balance", "--vectors", [[1.0, 0.0], [0.0, 1.0]], id="vectors-bare-array"),
     pytest.param("select", "--problem",
                  {"sets": [[[0.0, 0.0], [1.0, 0.0]]], "targets": [[0.5, 0.0]]},
                  id="select-without-space"),
@@ -345,38 +369,93 @@ def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
 
 
 def test_balance_command(tmp_path, capsys):
-    vecs = tmp_path / "v.json"
-    vecs.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    code = run(["balance", "--vectors", str(vecs), "--norm", "l2",
-                "--infratype", "2,1"])
+    doc = balance_doc([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], infratype=[2, 1])
+    code = run(["balance", "--vectors", write_json(tmp_path, "v.json", doc)])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["satisfied"] is True
     assert len(out["signs"]) == 3
 
 
-@pytest.mark.parametrize("flag", [["--norm", "linf"], ["--infratype", "2,0.001"]])
-def test_balance_of_a_space_document_rejects_space_flags(tmp_path, capsys, flag):
-    # the document declares its own space; a flag for another would be ignored
-    doc = {"space": {"dim": 2, "norm": "l1", "infratype": None}, "vectors": [[1.0, 0.0]]}
-    vecs = write_json(tmp_path, "v.json", doc)
-    assert run(["balance", "--vectors", vecs, *flag]) == EXIT_SCHEMA
+@pytest.mark.parametrize("command, flag, document", [
+    pytest.param("balance", "--vectors", balance_doc([[1.0, 0.0], [0.0, 1.0]]), id="balance"),
+    pytest.param("select", "--problem", select_doc(), id="select"),
+])
+def test_a_document_without_an_infratype_prints_no_bound(tmp_path, capsys, command, flag,
+                                                         document):
+    assert run([command, flag, write_json(tmp_path, "doc.json", document)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "bound" not in out and "satisfied" not in out
+
+
+def test_balance_norm_flag_is_rejected(tmp_path):
+    vecs = write_json(tmp_path, "v.json", balance_doc([[1.0, 0.0]]))
+    with pytest.raises(SystemExit) as exc:
+        run(["balance", "--vectors", vecs, "--norm", "l2"])
+    assert exc.value.code == 2  # argparse's usage error
+
+
+def _with_infratype(kind: str, infratype) -> dict:
+    """The document of command ``kind``, its space declaring ``infratype``."""
+    if kind == "integrate":
+        cfg = triangle_cfg()
+        cfg["multifunction"]["space"]["infratype"] = infratype
+        return cfg
+    if kind == "balance":
+        return balance_doc([[1.0, 0.0], [0.0, 1.0]], infratype=infratype)
+    return select_doc(infratype=infratype)
+
+
+@pytest.mark.parametrize("infratype, message", [
+    pytest.param([2.5, 1.0], "infratype exponent must lie in (1, 2], got 2.5", id="exponent"),
+    pytest.param([2.0, 0.0], "infratype constant must be positive, got 0.0", id="constant"),
+    pytest.param("abc", "infratype must be [p, C] or null, got 'abc'", id="string"),
+    pytest.param([2], "infratype must be [p, C] or null, got [2]", id="one-entry"),
+])
+@pytest.mark.parametrize("command, flag", [
+    ("integrate", "--config"), ("balance", "--vectors"), ("select", "--problem"),
+])
+def test_malformed_infratype_exit_schema(tmp_path, capsys, command, flag, infratype, message):
+    doc = write_json(tmp_path, "doc.json", _with_infratype(command, infratype))
+    assert run([command, flag, doc]) == EXIT_SCHEMA
     cap = capsys.readouterr()
-    assert cap.out == "" and _one_line(cap.err, "error: ")
-    assert run(["balance", "--vectors", vecs]) == 0
+    assert cap.out == "" and cap.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("infratype", ["abc", "2"])
-def test_balance_malformed_infratype_exit_schema(tmp_path, capsys, infratype):
-    vecs = write_json(tmp_path, "v.json", [[1.0, 0.0], [0.0, 1.0]])
-    assert run(["balance", "--vectors", vecs, "--infratype", infratype]) == EXIT_SCHEMA
-    assert _one_line(capsys.readouterr().err, "error: ")
+def _l2_triangle_cfg(where: str, declare: bool) -> dict:
+    """The triangle hull config in l2(2), with a candidate document (where =
+    "candidate") or without a candidate (where = "inner").  With ``declare``,
+    the space that ``where`` names declares the infratype (2, 1); else it has
+    no infratype key."""
+    cfg = _hull_with_inner_space("l2")
+    space = cfg["multifunction"]["body"]["inner"]["space"]
+    space.pop("infratype")
+    if where == "candidate":
+        space = {"dim": 2, "norm": "l2"}
+        cfg["candidate"] = {"space": space, "points": triangle_cfg()["candidate"]}
+    if declare:
+        space["infratype"] = [2, 1]
+    return cfg
 
 
-def test_balance_resource_cap_exit_70(tmp_path):
-    vecs = tmp_path / "v.json"
-    vecs.write_text(json.dumps([[1.0, 0.0]] * 30))
-    assert run(["balance", "--vectors", str(vecs), "--mode", "exact"]) == EXIT_RESOURCE
+@pytest.mark.parametrize("where, code", [("candidate", 0), ("inner", 3)])
+def test_a_declared_infratype_leaves_the_space_unchanged(tmp_path, capsys, where, code):
+    outputs = []
+    for declare in (True, False):
+        cfg = write_json(tmp_path, "cfg.json", _l2_triangle_cfg(where, declare))
+        outputs.append((run(["integrate", "--config", cfg]), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == code and outputs[0][1].err == ""
+
+
+def test_balance_resource_cap_exit_70(tmp_path, capsys):
+    vecs = write_json(tmp_path, "v.json", balance_doc([[1.0, 0.0]] * 25))
+    assert run(["balance", "--vectors", vecs, "--mode", "exact"]) == EXIT_RESOURCE
+    cap = capsys.readouterr()
+    assert cap.out == "" and _one_line(
+        cap.err, "resource limit: 25 vectors exceed the exact enumeration cap 24")
+    assert "--mode greedy" in cap.err
+    assert run(["balance", "--vectors", vecs, "--mode", "greedy"]) == 0
 
 
 def test_infratype_command(tmp_path, capsys):
@@ -412,13 +491,8 @@ def test_negative_seed_exit_schema(capsys):
 
 
 def test_select_command(tmp_path, capsys):
-    prob = tmp_path / "prob.json"
-    prob.write_text(json.dumps({
-        "space": {"dim": 2, "norm": "l2", "infratype": [2.0, 1.0]},
-        "sets": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
-        "targets": [[0.5, 0.0], [0.0, 0.5]],
-    }))
-    code = run(["select", "--problem", str(prob), "--mode", "exhaustive"])
+    prob = write_json(tmp_path, "prob.json", select_doc(infratype=[2.0, 1.0]))
+    code = run(["select", "--problem", prob, "--mode", "exhaustive"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["value"] <= out["bound"]

@@ -26,6 +26,7 @@ from setint.partition import (
     eval_mf,
     halve_with_tags,
     inner_of,
+    mf_from_json,
     random_partition,
     uniform_partition,
 )
@@ -275,6 +276,15 @@ def test_integrate_candidate_converged():
     assert report.verdict.status == "converged"
     assert report.exit_code == 0
     assert all(r.distance == 0.0 for r in report.rows)
+
+
+def test_integrate_a_map_read_from_json_against_a_candidate_in_l2():
+    inner = {"space": {"dim": 2, "norm": "l2"}, "boundM": 1.0, "diamBound": 1.0,
+             "body": {"kind": "constant", "points": [[0.0, 0.0], [1.0, 0.0]]}}
+    f = mf_from_json({**inner, "body": {"kind": "convex_hull_of", "inner": inner}})
+    candidate = PointSet(l2(2), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    report = integrate(f, [uniform_partition(n) for n in (2, 4)], candidate=candidate)
+    assert report.verdict.status == "converged"
 
 
 def test_integrate_cauchy_mode():

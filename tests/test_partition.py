@@ -27,7 +27,7 @@ from setint.partition import (
     uniform_partition,
     validate_bounds,
 )
-from setint.setops import PointSet
+from setint.setops import PointSet, PrunedSet
 from setint.spaces import l1, l2, linf, norms
 
 
@@ -321,6 +321,21 @@ def test_mf_json_roundtrip(body):
     assert back.bound_m == f.bound_m
     for t in (0.0, 0.3, 0.75, 1.0):
         assert eval_mf(back, t).same_set(eval_mf(f, t))
+
+
+def test_array_holding_values_compare_and_hash_without_raising():
+    # PointSet, TaggedPartition and MovingFinite compare and hash by
+    # identity; the records that hold them compare field by field
+    a, b = PointSet(l2(2), np.eye(2)), PointSet(l2(2), np.eye(2))
+    assert a == a and a != b and a.same_set(b)
+    assert PrunedSet(a) == PrunedSet(a) and PrunedSet(a) != PrunedSet(b)
+    t = uniform_partition(4)
+    assert t == t and t != uniform_partition(4) and hash(t) == hash(t)
+    for body in _roundtrip_bodies():
+        f = Multifunction(l2(2), body, bound_m=4.0, diam_bound=4.0)
+        g = Multifunction(l2(2), body, bound_m=4.0, diam_bound=4.0)
+        assert f == g and hash(f) == hash(g)
+        assert mf_from_json(mf_to_json(f)) != f
 
 
 def test_mf_json_counterexample_roundtrip():

@@ -6,10 +6,10 @@ import pytest
 from setint.errors import InvalidArgumentError
 from setint.spaces import (
     SpaceDescriptor,
-    c1_constant,
     c1_from,
     cdist_metric,
     hilbert_c1,
+    infratype_from_json,
     l1,
     l2,
     linf,
@@ -48,19 +48,14 @@ def test_descriptor_validation():
         SpaceDescriptor(0, "l2")
     with pytest.raises(InvalidArgumentError):
         SpaceDescriptor(2, "l3")
-    with pytest.raises(InvalidArgumentError):
-        SpaceDescriptor(2, "l2", infratype=(2.5, 1.0))
-    with pytest.raises(InvalidArgumentError):
-        SpaceDescriptor(2, "l2", infratype=(2.0, 0.0))
 
 
-def test_c1_constant_hilbert():
+def test_c1_hilbert():
     # 2 * 1 / (2**(1/2) - 1) for exponent 2, constant 1
     want = 2.0 / (math.sqrt(2.0) - 1.0)
     assert hilbert_c1() == pytest.approx(want, rel=1e-15)
     assert hilbert_c1() == pytest.approx(4.82842712474619, rel=1e-12)
     assert c1_from(2.0, 1.0) == hilbert_c1()
-    assert c1_constant(l2(5)) == hilbert_c1()
 
 
 def test_c1_monotone_in_c():
@@ -68,15 +63,39 @@ def test_c1_monotone_in_c():
 
 
 def test_space_json_roundtrip():
-    for space in (l1(3), l2(4), linf(2), SpaceDescriptor(6, "l1", infratype=(1.5, 2.0))):
+    for space in (l1(3), l2(4), linf(2), SpaceDescriptor(6, "l1")):
         obj = space_to_json(space)
         back = space_from_json(obj)
         assert back == space
 
 
 def test_space_json_shape():
-    obj = space_to_json(l2(3))
-    assert obj["dim"] == 3
-    assert obj["norm"] == "l2"
-    assert obj["infratype"] == [2.0, 1.0]
-    assert space_to_json(l1(2))["infratype"] is None
+    assert space_to_json(l2(3)) == {"dim": 3, "norm": "l2"}
+    assert space_to_json(l1(2)) == {"dim": 2, "norm": "l1"}
+
+
+def test_a_declared_infratype_is_not_part_of_the_space():
+    declared = space_from_json({"dim": 2, "norm": "l2", "infratype": [2, 1]})
+    assert l2(2) == SpaceDescriptor(2, "l2") == declared
+    assert hash(l2(2)) == hash(declared)
+    assert infratype_from_json({"dim": 2, "norm": "l2", "infratype": [2, 1]}) == (2.0, 1.0)
+    assert infratype_from_json({"dim": 2, "norm": "l2", "infratype": None}) is None
+    assert infratype_from_json({"dim": 2, "norm": "l2"}) is None
+
+
+#: Malformed declarations and the messages they are rejected with.
+BAD_INFRATYPES = [
+    pytest.param([2.5, 1.0], "infratype exponent must lie in (1, 2], got 2.5", id="exponent"),
+    pytest.param([2.0, 0.0], "infratype constant must be positive, got 0.0", id="constant"),
+    pytest.param("abc", "infratype must be [p, C] or null, got 'abc'", id="string"),
+    pytest.param([2], "infratype must be [p, C] or null, got [2]", id="one-entry"),
+]
+
+
+@pytest.mark.parametrize("infratype, message", BAD_INFRATYPES)
+def test_malformed_infratype_is_rejected(infratype, message):
+    obj = {"dim": 2, "norm": "l2", "infratype": infratype}
+    for read in (infratype_from_json, space_from_json):
+        with pytest.raises(InvalidArgumentError) as exc:
+            read(obj)
+        assert str(exc.value) == message
