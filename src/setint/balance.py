@@ -36,6 +36,8 @@ def _as_matrix(xs, space: SpaceDescriptor) -> np.ndarray:
         raise InvalidArgumentError(
             f"vector family of shape {m.shape} does not match dimension {space.dim}"
         )
+    if not np.isfinite(m).all():
+        raise InvalidArgumentError("vector entries must be finite")
     return m
 
 

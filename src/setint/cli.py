@@ -2,9 +2,12 @@
 
 Subcommands: integrate, balance, infratype, select.  The l1
 counterexample family runs through integrate, as a counterexample_l1 body.
-JSON is the machine interface, CSV the plotting interface; re-running with
-the same config and seed yields byte-identical files (the CSV ms column is
-zero unless --timings is given, which is documented to break byte-identity).
+JSON is the machine interface, CSV the plotting interface.  An integrate
+run is reproducible from its config alone: the config holds every setting
+(multifunction, schedule, tag rule, candidate, seed and tolerances), and the
+flags only name the output files and ask for --timings.  Re-running a config
+yields byte-identical files (the CSV ms column is zero unless --timings is
+given, which is documented to break byte-identity).
 balance and select read documents whose space may declare an infratype
 [p, C]; a declaration adds its bound and whether it holds to the output.
 
@@ -142,14 +145,18 @@ def _check_counts(counts: list[int]) -> list[int]:
     return counts
 
 
+def _is_whole(x) -> bool:
+    """An int (not a bool) or a float with an integer value: a JSON number
+    that is a whole count or seed."""
+    return type(x) is int or (type(x) is float and x.is_integer())
+
+
 def _schedule_counts(raw) -> list[int]:
     """The checked interval counts of a schedule: a string for
     parse_schedule, or a list of whole numbers."""
     if isinstance(raw, str):
         return parse_schedule(raw)
-    if not isinstance(raw, list) or not all(
-        type(x) is int or (type(x) is float and x.is_integer()) for x in raw
-    ):
+    if not isinstance(raw, list) or not all(_is_whole(x) for x in raw):
         raise InvalidArgumentError(f"schedule {raw!r} is not a list of whole interval counts")
     return _check_counts([int(x) for x in raw])
 
@@ -170,63 +177,53 @@ def _load_config(path: str) -> dict:
         raise InvalidArgumentError(f'unsupported config version {cfg.get("version")!r}')
     if "multifunction" not in cfg:
         raise InvalidArgumentError('config missing "multifunction"')
-    with schema_faults('config key "seed"'):
-        cfg["seed"] = int(cfg.get("seed", 0))
-    if cfg["seed"] < 0:
-        raise InvalidArgumentError('config key "seed" must be nonnegative')
+    seed = cfg.get("seed", 0)
+    if not _is_whole(seed) or seed < 0:
+        raise InvalidArgumentError(f'config key "seed" must be a whole number of at least 0, '
+                                   f'got {seed!r}')
+    cfg["seed"] = int(seed)
     return cfg
 
 
-def _build_schedule(cfg, args, seed: int):
-    raw = args.schedule or cfg.get("schedule")
+def _build_schedule(cfg: dict):
+    raw = cfg.get("schedule")
     if raw is None:
-        raise InvalidArgumentError("no schedule given (config or --schedule)")
-    tag_rule = args.tag_rule or cfg.get("tagRule", "mid")
+        raise InvalidArgumentError('config missing "schedule"')
+    tag_rule, seed = cfg.get("tagRule", "mid"), cfg["seed"]
     with schema_faults("schedule"):
         return [uniform_partition(n, tag_rule, seed=None if tag_rule != "random" else seed + i)
                 for i, n in enumerate(_schedule_counts(raw))]
 
 
-#: Numeric settings: command-line attribute -> (config key, default).
-_SETTINGS = {"tol": ("tol", 1e-6), "prune_delta": ("deltaStep", 0.0), "hull_tol": ("hullTol", 1e-8)}
+#: Numeric settings: integrate's keyword -> config key.  A key the config
+#: omits is not passed, so it keeps integrate's default.
+_SETTINGS = {"tol": "tol", "delta_step": "deltaStep", "hull_tol": "hullTol"}
 
 
-def _setting(args, cfg: dict, attr: str) -> float:
-    """The command-line value if given, else the config key, else the default;
-    it must be finite and nonnegative."""
-    key, default = _SETTINGS[attr]
-    if getattr(args, attr) is not None:
-        value, name = getattr(args, attr), "--" + attr.replace("_", "-")
-    else:
-        with schema_faults(f'config key "{key}"'):
-            value, name = float(cfg.get(key, default)), f'config key "{key}"'
+def _setting(cfg: dict, key: str) -> float:
+    """The config's value of a numeric setting; it must be finite and
+    nonnegative."""
+    with schema_faults(f'config key "{key}"'):
+        value = float(cfg[key])
     if not 0 <= value < math.inf:
-        raise InvalidArgumentError(f"{name} must be finite and nonnegative, got {value}")
+        raise InvalidArgumentError(
+            f'config key "{key}" must be finite and nonnegative, got {value}')
     return value
 
 
 def _cmd_integrate(args) -> int:
     cfg = _load_config(args.config)
     f = mf_from_json(cfg["multifunction"])
-    seed = cfg["seed"] if args.seed is None else args.seed
-    validate_bounds(f, samples=100, seed=seed)
-    schedule = _build_schedule(cfg, args, seed)
+    validate_bounds(f, seed=cfg["seed"])
+    schedule = _build_schedule(cfg)
     candidate = None
     cand_obj = cfg.get("candidate")
-    if args.candidate:
-        cand_obj = _read_json(args.candidate)
     if cand_obj is not None:
         with schema_faults("candidate"):
             candidate = (pointset_from_json(cand_obj) if isinstance(cand_obj, dict)
                          else PointSet(f.space, np.asarray(cand_obj, dtype=float)))
-    report = run_integrate(
-        f,
-        schedule,
-        candidate=candidate,
-        tol=_setting(args, cfg, "tol"),
-        delta_step=_setting(args, cfg, "prune_delta"),
-        hull_tol=_setting(args, cfg, "hull_tol"),
-    )
+    settings = {kw: _setting(cfg, key) for kw, key in _SETTINGS.items() if key in cfg}
+    report = run_integrate(f, schedule, candidate=candidate, **settings)
     text = _dump(report.to_json(timings=args.timings), args.json)
     if args.csv:
         _write(args.csv, report.to_csv(timings=args.timings))
@@ -298,17 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("integrate", help="run a convergence schedule")
-    p.add_argument("--candidate", help="JSON file with candidate limit points")
-    p.add_argument("--config", required=True)
-    p.add_argument("--schedule", help="interval counts: '2,4,8' or 'uniform:2^1..2^8'")
-    p.add_argument("--tag-rule", choices=("left", "right", "mid", "random"))
+    p.add_argument("--config", required=True, help="JSON config: every setting of the run")
     p.add_argument("--json", help="write JSON output to this path")
-    p.add_argument("--tol", type=float, default=None, help="convergence tolerance (default 1e-6)")
-    p.add_argument("--prune-delta", type=float, default=None,
-                   help="per-step pruning radius (default from config, else 0)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--hull-tol", type=float, default=None,
-                   help="hull-distance certificate tolerance (default 1e-8)")
     p.add_argument("--csv", help="write the per-mesh CSV table to this path")
     p.add_argument("--timings", action="store_true",
                    help="emit wall-clock times (breaks byte-identical reruns)")

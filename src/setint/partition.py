@@ -344,7 +344,11 @@ def _poly_eval(coeffs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.matmul(powers[:, None, :], coeffs)[:, 0]
 
 
-def validate_bounds(f: Multifunction, samples: int = 1000, seed: int = 0) -> None:
+#: Moving bodies are checked at this many values of t.
+BOUND_SAMPLES = 100
+
+
+def validate_bounds(f: Multifunction, seed: int = 0) -> None:
     """Check the declared norm and diameter bounds.
 
     A violation is a configuration error, embodying boundedness as a
@@ -353,7 +357,7 @@ def validate_bounds(f: Multifunction, samples: int = 1000, seed: int = 0) -> Non
     exactly, each value once, at the first t that takes it.  The l1
     counterexample's value, the first N basis vectors of l1(N), has norm 1
     and diameter 2, as any two of them have: two stand for all N.  Moving
-    bodies are checked on ``samples`` values of t (0, 1 and seeded
+    bodies are checked on BOUND_SAMPLES values of t (0, 1 and seeded
     uniforms), all evaluated in one pass; the first violating sample is
     reported.
     """
@@ -367,7 +371,7 @@ def validate_bounds(f: Multifunction, samples: int = 1000, seed: int = 0) -> Non
                     f"curve of dimension {c.shape[1]} does not match space dimension {f.space.dim}"
                 )
         rng = np.random.default_rng(seed)
-        ts = np.concatenate(([0.0, 1.0], rng.random(max(samples - 2, 0))))
+        ts = np.concatenate(([0.0, 1.0], rng.random(BOUND_SAMPLES - 2)))
         values = [(ts, np.stack([_poly_eval(c, ts) for c in body.curves], axis=1))]
     elif isinstance(body, PiecewiseConstant):
         starts = np.clip(body.breaks[:-1], 0.0, 1.0)

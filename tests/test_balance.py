@@ -90,6 +90,15 @@ def test_infratype_ratio_rejects_zero_vector():
         infratype_ratio(np.array([[0.0, 0.0], [1.0, 0.0]]), 2.0, l2(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("check", [sign_balance_exact, sign_balance_greedy,
+                                   lambda m, space: infratype_ratio(m, 2.0, space)],
+                         ids=["exact", "greedy", "ratio"])
+def test_non_finite_vectors_are_rejected(check, bad):
+    with pytest.raises(InvalidArgumentError, match="^vector entries must be finite$"):
+        check(np.array([[bad, 1.0], [1.0, 2.0]]), l2(2))
+
+
 def test_estimate_infratype_l2_is_one():
     # Hilbert space has infratype 2 with constant 1; the canonical basis
     # family meets the bound exactly and random families never beat it

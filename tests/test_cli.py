@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, build_parser, parse_schedule, run
 from setint.counterexamples import witness_distance
-from setint.errors import InvalidArgumentError, ResourceLimitError
+from setint.errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
 from setint.partition import MAX_INTERVALS, check_interval_count
 
 
@@ -89,8 +89,8 @@ def test_parse_schedule_rejects_garbage():
 def test_parse_schedule_rejects_a_range_with_two_bases(tmp_path, capsys):
     with pytest.raises(InvalidArgumentError, match=r"2\^1\.\.3\^4"):
         parse_schedule("uniform:2^1..3^4")
-    cfg = triangle_config(tmp_path)
-    assert run(["integrate", "--config", cfg, "--schedule", "uniform:2^1..3^4"]) == EXIT_SCHEMA
+    cfg = triangle_config(tmp_path, schedule="uniform:2^1..3^4")
+    assert run(["integrate", "--config", cfg]) == EXIT_SCHEMA
     assert "uniform:2^1..3^4" in capsys.readouterr().err
 
 
@@ -180,25 +180,53 @@ def test_l2_hull_solver_failure_exits_1_with_one_line(monkeypatch, capsys, nnls)
     assert "nan" not in cap.err and "None" not in cap.err
 
 
-@pytest.mark.parametrize("flag, key, want", [
-    pytest.param([], {}, 0, id="default"),
-    pytest.param(["--seed", "5"], {}, 5, id="flag"),
-    pytest.param([], {"seed": 5}, 5, id="config"),
-    pytest.param(["--seed", "5"], {"seed": 9}, 5, id="flag-over-config"),
+@pytest.mark.parametrize("key, want", [
+    pytest.param({}, 0, id="default"),
+    pytest.param({"seed": 5}, 5, id="config"),
+    pytest.param({"seed": 5.0}, 5, id="config-whole-float"),
 ])
-def test_the_seed_reaches_the_bound_check(tmp_path, monkeypatch, flag, key, want):
+def test_the_seed_reaches_the_bound_check(tmp_path, monkeypatch, key, want):
     seeds = []
-    monkeypatch.setattr("setint.cli.validate_bounds", lambda f, samples, seed: seeds.append(seed))
-    assert run(["integrate", "--config", triangle_config(tmp_path, **key), *flag]) == 0
-    assert seeds == [want]
+    monkeypatch.setattr("setint.cli.validate_bounds", lambda f, seed: seeds.append(seed))
+    assert run(["integrate", "--config", triangle_config(tmp_path, **key)]) == 0
+    assert seeds == [want] and type(seeds[0]) is int
 
 
-def test_schedule_override(tmp_path):
-    cfg = triangle_config(tmp_path)
+@pytest.mark.parametrize("seed", [-1, 3.7, "3", True, float("inf"), None],
+                         ids=["negative", "fraction", "string", "bool", "inf", "null"])
+def test_a_seed_that_is_not_a_whole_nonnegative_number_exits_schema(tmp_path, capsys, seed):
+    # moving_linf uses random tags, so a truncated seed would change its rows
+    cfg = json.loads((GOLDEN / "moving_linf.config.json").read_text())
+    cfg["seed"] = seed
+    assert run(["integrate", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == (
+        f'error: config key "seed" must be a whole number of at least 0, got {seed!r}\n')
+
+
+def test_config_schedule_range(tmp_path):
+    cfg = triangle_config(tmp_path, schedule="uniform:2^1..2^3")
     jpath = tmp_path / "out.json"
-    run(["integrate", "--config", cfg, "--schedule", "uniform:2^1..2^3", "--json", str(jpath)])
+    assert run(["integrate", "--config", cfg, "--json", str(jpath)]) == 0
     obj = json.loads(jpath.read_text())
-    assert len(obj["rows"]) == 3
+    assert [r["mesh"] for r in obj["rows"]] == [0.5, 0.25, 0.125]
+
+
+def test_integrate_options_are_the_config_and_the_outputs():
+    sub = build_parser()._subparsers._group_actions[0].choices["integrate"]
+    options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+    assert options == {"--config", "--json", "--csv", "--timings"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--candidate", "cand.json"), ("--schedule", "2,4"), ("--tag-rule", "mid"), ("--tol", "0"),
+    ("--prune-delta", "0"), ("--seed", "-1"), ("--hull-tol", "0"),
+])
+def test_deleted_integrate_flags_are_rejected(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["integrate", "--config", triangle_config(tmp_path), f"{flag}={value}"])
+    assert exc.value.code == 2  # argparse's usage error
+    assert f"unrecognized arguments: {flag}=" in capsys.readouterr().err
 
 
 def test_bad_config_version_exit_schema(tmp_path):
@@ -304,52 +332,47 @@ def test_schema_fault_exit_schema(tmp_path, capsys, command, flag, document):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_hull_tol_zero_exit_schema(tmp_path, source):
-    if source == "flag":
-        argv = ["--config", triangle_config(tmp_path), "--hull-tol", "0"]
-    else:
-        argv = ["--config", triangle_config(tmp_path, hullTol=0.0)]
-    assert run(["integrate", *argv]) == EXIT_SCHEMA
+def test_hull_tol_zero_exit_schema(tmp_path):
+    assert run(["integrate", "--config", triangle_config(tmp_path, hullTol=0.0)]) == EXIT_SCHEMA
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("flag, key", [
-    ("--tol", "tol"), ("--hull-tol", "hullTol"), ("--prune-delta", "deltaStep"),
-])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_non_finite_setting_exit_schema(tmp_path, capsys, source, flag, key, value):
-    if source == "flag":
-        argv = ["--config", triangle_config(tmp_path), f"{flag}={value}"]  # "-inf" reads as a flag
-    else:
-        argv = ["--config", triangle_config(tmp_path, **{key: float(value)})]
-    assert run(["integrate", *argv]) == EXIT_SCHEMA
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and (flag if source == "flag" else f'"{key}"') in err
+@pytest.mark.parametrize("key", ["tol", "hullTol", "deltaStep"])
+def test_non_finite_setting_exit_schema(tmp_path, capsys, key, value):
+    cfg = triangle_config(tmp_path, **{key: float(value)})
+    assert run(["integrate", "--config", cfg]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        f'error: config key "{key}" must be finite and nonnegative, got {float(value)}\n')
 
 
-@pytest.mark.parametrize("flag, key", [
-    ("--tol", "tol"), ("--hull-tol", "hullTol"), ("--prune-delta", "deltaStep"),
-])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_negative_setting_exit_schema(tmp_path, capsys, source, flag, key):
-    if source == "flag":
-        argv = ["--config", triangle_config(tmp_path), f"{flag}=-1"]  # "-1" reads as a flag
-    else:
-        argv = ["--config", triangle_config(tmp_path, **{key: -1.0})]
-    assert run(["integrate", *argv]) == EXIT_SCHEMA
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and (flag if source == "flag" else f'"{key}"') in err
+@pytest.mark.parametrize("key", ["tol", "hullTol", "deltaStep"])
+def test_negative_setting_exit_schema(tmp_path, capsys, key):
+    assert run(["integrate", "--config", triangle_config(tmp_path, **{key: -1.0})]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == (
+        f'error: config key "{key}" must be finite and nonnegative, got -1.0\n')
+
+
+def test_omitted_settings_take_integrates_defaults(tmp_path, monkeypatch):
+    settings = []
+
+    def record(f, schedule, candidate, **kwargs):
+        settings.append(kwargs)
+        raise SolverFailureError("recorded")
+
+    monkeypatch.setattr("setint.cli.run_integrate", record)
+    for cfg in (triangle_cfg(), triangle_cfg(tol=1e-3, deltaStep=0.5, hullTol=1e-9)):
+        assert run(["integrate", "--config", write_json(tmp_path, "cfg.json", cfg)]) == 1
+    assert settings == [{}, {"tol": 1e-3, "delta_step": 0.5, "hull_tol": 1e-9}]
 
 
 def test_zero_tol_stays_inconclusive(tmp_path):
-    assert run(["integrate", "--config", triangle_config(tmp_path), "--tol", "0"]) == 3
+    assert run(["integrate", "--config", triangle_config(tmp_path, tol=0.0)]) == 3
 
 
 def test_cached_parser_runs_like_a_fresh_one(tmp_path, capsys):
     cfg = triangle_config(tmp_path)
     calls = [
-        ["integrate", "--config", cfg, "--tol", "0"],
+        ["integrate", "--config", write_json(tmp_path, "tol0.json", triangle_cfg(tol=0.0))],
         ["integrate", "--config", cfg],
         ["infratype", "--norm", "l2", "--dim", "3", "--trials", "5", "--nmax", "4"],
     ]
@@ -386,6 +409,15 @@ def test_a_document_without_an_infratype_prints_no_bound(tmp_path, capsys, comma
     assert run([command, flag, write_json(tmp_path, "doc.json", document)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "bound" not in out and "satisfied" not in out
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_balance_of_non_finite_vectors_exit_schema(tmp_path, capsys, mode, bad):
+    vecs = write_json(tmp_path, "v.json", balance_doc([[bad, 1.0], [1.0, 2.0]]))
+    assert run(["balance", "--vectors", vecs, "--mode", mode]) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: vector entries must be finite\n"
 
 
 def test_balance_norm_flag_is_rejected(tmp_path):
@@ -534,7 +566,7 @@ def test_out_of_memory_exits_resource(tmp_path, monkeypatch, capsys):
         raise MemoryError("Unable to allocate 7.45 GiB")
 
     monkeypatch.setattr("setint.cli.uniform_partition", no_memory)
-    argv = ["integrate", "--schedule", "10000000", "--config", triangle_config(tmp_path)]
+    argv = ["integrate", "--config", triangle_config(tmp_path, schedule=[10000000])]
     assert run(argv) == EXIT_RESOURCE
     cap = capsys.readouterr()
     assert cap.out == ""
@@ -580,7 +612,7 @@ def test_interval_count_past_the_cap_exits_resource(tmp_path, monkeypatch, capsy
         raise AssertionError("a breakpoint array was built")
 
     monkeypatch.setattr("setint.partition._uniform_breakpoints", no_arrays)
-    argv = ["integrate", "--config", triangle_config(tmp_path), "--schedule", schedule]
+    argv = ["integrate", "--config", triangle_config(tmp_path, schedule=schedule)]
     assert run(argv) == EXIT_RESOURCE
     cap = capsys.readouterr()
     assert cap.out == ""
@@ -589,9 +621,9 @@ def test_interval_count_past_the_cap_exits_resource(tmp_path, monkeypatch, capsy
 
 def test_a_range_far_past_the_cap_exits_resource_at_once(tmp_path, capsys):
     # the powers stop at the first one past the cap: 2^40000 is never built
-    cfg = triangle_config(tmp_path)
+    cfg = triangle_config(tmp_path, schedule="uniform:2^1..2^40000")
     start = time.perf_counter()
-    code = run(["integrate", "--config", cfg, "--schedule", "uniform:2^1..2^40000"])
+    code = run(["integrate", "--config", cfg])
     elapsed = time.perf_counter() - start
     assert code == EXIT_RESOURCE
     assert _one_line(capsys.readouterr().err, "resource limit: ")
@@ -637,9 +669,9 @@ def test_power_ranges_list_the_counts_or_fail_as_the_listed_counts_would(monkeyp
     ("uniform:-2^4096", EXIT_RESOURCE),
 ])
 def test_a_range_with_no_valid_count_exits_with_one_line(tmp_path, capsys, schedule, code):
-    cfg = triangle_config(tmp_path)
+    cfg = triangle_config(tmp_path, schedule=schedule)
     start = time.perf_counter()
-    assert run(["integrate", "--config", cfg, "--schedule", schedule]) == code
+    assert run(["integrate", "--config", cfg]) == code
     assert time.perf_counter() - start < 0.1
     prefix = "error: " if code == EXIT_SCHEMA else "resource limit: "
     assert _one_line(capsys.readouterr().err, prefix)
@@ -659,9 +691,9 @@ def test_a_schedule_that_does_not_increase_exits_before_any_partition(
         raise AssertionError("a partition was built")
 
     monkeypatch.setattr("setint.cli.uniform_partition", no_partition)
-    cfg = triangle_config(tmp_path)
+    cfg = triangle_config(tmp_path, schedule=schedule)
     start = time.perf_counter()
-    assert run(["integrate", "--config", cfg, "--schedule", schedule]) == EXIT_SCHEMA
+    assert run(["integrate", "--config", cfg]) == EXIT_SCHEMA
     assert time.perf_counter() - start < 0.1
     cap = capsys.readouterr()
     assert cap.out == "" and _one_line(cap.err, "error: ")

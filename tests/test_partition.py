@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from setint import partition
 from setint.errors import ConfigError, InvalidArgumentError, ResourceLimitError
 from setint.partition import (
+    BOUND_SAMPLES,
     L1_DIM_CAP,
     Constant,
     ConvexHullOf,
@@ -226,10 +227,10 @@ def test_validate_bounds_accepts_good():
     validate_bounds(f)
 
 
-def _validate_bounds_per_t(f, samples, seed):
+def _validate_bounds_per_t(f, seed):
     """Reference: the loop over sampled t that validate_bounds replaced."""
     rng = np.random.default_rng(seed)
-    for t in np.concatenate(([0.0, 1.0], rng.random(max(samples - 2, 0)))):
+    for t in np.concatenate(([0.0, 1.0], rng.random(BOUND_SAMPLES - 2))):
         val = eval_mf(f, float(t))
         if norms(f.space, val.points).max() > f.bound_m + 1e-9:
             raise ConfigError(f"declared norm bound {f.bound_m} violated at t={t}")
@@ -249,13 +250,22 @@ def test_validate_bounds_moving_matches_per_t_loop(space):
         results = []
         for check in (validate_bounds, _validate_bounds_per_t):
             try:
-                check(f, samples=100, seed=seed)
+                check(f, seed=seed)
                 results.append(None)
             except ConfigError as exc:
                 results.append(str(exc))
         assert results[0] == results[1]
         outcomes.append(results[0] is None)
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_validate_bounds_samples_a_moving_body_inside_the_interval():
+    # 8t(1 - t) is 0 at both ends and 2 at t = 1/2: only interior samples
+    # see it pass the bound, on (0.146, 0.854)
+    f = Multifunction(l2(2), MovingFinite((np.array([[0.0, 0.0], [8.0, 0.0], [-8.0, 0.0]]),)),
+                      bound_m=1.0, diam_bound=0.0)
+    with pytest.raises(ConfigError, match=r"^declared norm bound 1.0 violated at t=0\.[1-8]"):
+        validate_bounds(f)
 
 
 @pytest.mark.parametrize("hull", [False, True])
@@ -269,7 +279,7 @@ def test_validate_bounds_l1_counterexample_matches_per_t_loop(n, trunc_dim, boun
     results = []
     for check in (validate_bounds, _validate_bounds_per_t):
         try:
-            check(f, samples=2, seed=0)
+            check(f, seed=0)
             results.append(None)
         except ConfigError as exc:
             results.append(str(exc))
@@ -294,7 +304,7 @@ def test_validate_bounds_checks_every_piece_and_moving_curve_dims():
     far = PointSet(space, np.array([[0.0, 0.0], [0.0, 0.9]]))
     f = Multifunction(space, PiecewiseConstant((0.0, 0.5, 0.5001, 1.0), (ok, far, ok)), 1.0, 0.6)
     with pytest.raises(ConfigError, match="diameter bound 0.6 violated at t=0.5"):
-        validate_bounds(f, samples=100)
+        validate_bounds(f)
     g = Multifunction(space, MovingFinite((np.zeros((2, 3)),)), 1.0, 1.0)
     with pytest.raises(InvalidArgumentError, match="dimension"):
         validate_bounds(g)

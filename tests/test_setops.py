@@ -476,6 +476,14 @@ def test_both_walks_keep_reference_points(walk, space, a, _, delta):
     assert np.array_equal(a.points[kept], _ref_prune_points(a, delta))
 
 
+@pytest.mark.parametrize("space, a, _, delta", REFERENCE_CASES)
+def test_pair_walk_keeps_reference_points_with_int64_keys(monkeypatch, space, a, _, delta):
+    # clouds of more than _RADIX_ROWS rows group their pairs by int64 keys
+    monkeypatch.setattr("setint.setops._RADIX_ROWS", 0)
+    kept = _net_by_pairs(cKDTree(a.points), delta, _KDTREE_P[space.norm])
+    assert np.array_equal(a.points[kept], _ref_prune_points(a, delta))
+
+
 @pytest.mark.parametrize("make", [l1, l2, linf])
 @pytest.mark.parametrize("tag, delta", SPARSE_AND_DENSE)
 def test_prune_walks_pairs_on_sparse_and_balls_on_dense_clouds(monkeypatch, make, tag, delta):
