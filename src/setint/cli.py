@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -162,10 +161,12 @@ def _schedule_counts(raw) -> list[int]:
 
 
 def _read_json(path: str):
+    """The JSON document at path.  Malformed JSON and an integer of more
+    digits than Python converts (4,300 by default) raise ValueError."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InvalidArgumentError(f"cannot read {path}: {exc}") from exc
 
 
@@ -201,14 +202,15 @@ _SETTINGS = {"tol": "tol", "delta_step": "deltaStep", "hull_tol": "hullTol"}
 
 
 def _setting(cfg: dict, key: str) -> float:
-    """The config's value of a numeric setting; it must be finite and
-    nonnegative."""
-    with schema_faults(f'config key "{key}"'):
-        value = float(cfg[key])
-    if not 0 <= value < math.inf:
+    """The config's value of a numeric setting: a JSON number (an int, not a
+    bool, or a float), finite and nonnegative."""
+    value = cfg[key]
+    if type(value) not in (int, float):
+        raise InvalidArgumentError(f'config key "{key}" must be a number, got {value!r}')
+    if not 0 <= value <= sys.float_info.max:  # so that float() cannot overflow
         raise InvalidArgumentError(
             f'config key "{key}" must be finite and nonnegative, got {value}')
-    return value
+    return float(value)
 
 
 def _cmd_integrate(args) -> int:

@@ -52,6 +52,10 @@ _KDTREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
 #: is 3).
 _NNLS_ITER_PER_GENERATOR = 50
 
+#: Most ascending runs of a first column that the canonical form still sorts
+#: with a timsort (see _timsorted).
+_SORTED_RUNS = 8
+
 
 def _canonicalize(points: np.ndarray) -> np.ndarray:
     """Sort rows lexicographically (first column most significant) and drop
@@ -71,20 +75,33 @@ def _canonicalize_blocks(pts: np.ndarray, sizes) -> tuple[np.ndarray, list[int]]
     each, all positive), computed for all blocks at once: the kept rows,
     block after block, and the list of the rows where each block ends.
 
-    One stable sort of the first column orders the rows; with more than one
-    block, a stable sort of the block numbers then gathers each block's rows
-    in that order.  numpy's stable float sort is a timsort, linear on
-    presorted runs, and a Minkowski sum arrives as such runs (see
-    minkowski).  Only where two sorted rows of one block tie in the first
-    column does a stable lexsort of the sorted rows, by block and then by all
-    columns, order them; rows of a block without ties keep their order.  All
-    sorts are stable, so rows equal as numbers stay in input order.  The
-    sorted rows are held as a (d, n) array, one contiguous row per column,
-    and neighbours are compared column by column, except across a block
-    boundary, where the later row is always kept.
+    One sort of the first column orders the rows, chosen by the order they
+    arrive in (see _timsorted).  Rows that come as a few ascending runs (a
+    Minkowski sum has one per point of its second operand, see minkowski)
+    take numpy's stable float sort, a timsort, which merges presorted runs
+    in about linear time.  Unordered rows (a k-fold power, a user's point
+    list) take numpy's default sort, several times faster on them but not
+    stable: 0.71 ms against 1.93 ms for the whole canonical pass on the
+    20,349 rows of a 16-fold power of 6 points in 2-D (2-vCPU host).  With
+    more than one block, a stable sort of the block numbers then gathers
+    each block's rows in that order.
+
+    The two sorts differ only in the order of rows that tie in the first
+    column.  Where two sorted rows of one block tie there, a stable lexsort
+    of the sorted rows, by block and then by all columns, orders them; rows
+    of a block without ties keep their order.  After the timsort, rows equal
+    as numbers (0.0 and -0.0) are already in input order, and one column
+    needs no lexsort; after the default sort, the lexsort runs for one
+    column too and takes the input index as its last key.  So the result
+    does not depend on the sort taken, and rows equal as numbers stay in
+    input order.  The sorted rows are held as a (d, n) array, one contiguous
+    row per column, and neighbours are compared column by column, except
+    across a block boundary, where the later row is always kept.
     """
     many = len(sizes) > 1
-    order = pts[:, 0].argsort(kind="stable")
+    first = pts[:, 0]
+    stable = _timsorted(first)
+    order = first.argsort(kind="stable") if stable else first.argsort()
     if many:
         sizes = np.asarray(sizes)
         block = np.arange(len(sizes)).repeat(sizes)
@@ -95,8 +112,9 @@ def _canonicalize_blocks(pts: np.ndarray, sizes) -> tuple[np.ndarray, list[int]]
     ties = first[1:] == first[:-1]
     if many:
         ties[starts - 1] = False  # the neighbours lie in two blocks
-    if len(cols) > 1 and np.count_nonzero(ties):
-        sub = np.lexsort((*cols[::-1], block) if many else cols[::-1])
+    if (len(cols) > 1 or not stable) and np.count_nonzero(ties):
+        keys = (*cols[::-1], block) if many else (*cols[::-1],)
+        sub = np.lexsort(keys if stable else (order, *keys))
         order = order.take(sub)
         cols = cols.take(sub, axis=1)
     keep = _fresh_rows(cols)
@@ -106,6 +124,14 @@ def _canonicalize_blocks(pts: np.ndarray, sizes) -> tuple[np.ndarray, list[int]]
     if not many:
         return out, [len(out)]
     return out, np.bincount(block[keep], minlength=len(sizes)).cumsum().tolist()
+
+
+def _timsorted(first: np.ndarray) -> bool:
+    """Whether the canonical form sorts this first column with numpy's stable
+    sort, a timsort, rather than with its default sort: when the column has
+    at most _SORTED_RUNS ascending runs, which the timsort merges faster than
+    the default sort sorts them."""
+    return np.count_nonzero(first[1:] < first[:-1]) < _SORTED_RUNS
 
 
 def _fresh_rows(cols: np.ndarray) -> np.ndarray:
@@ -129,14 +155,14 @@ def _drop_near_duplicates(pts: np.ndarray) -> np.ndarray:
 def _checked_rows(space: SpaceDescriptor, points) -> np.ndarray:
     """points as a float (n, space.dim) array, n >= 1, of finite rows."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim and not len(pts):  # before a 1-D list becomes one row
+        raise InvalidArgumentError("a point set must be nonempty")
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != space.dim:
         raise InvalidArgumentError(
             f"points of shape {pts.shape} do not match space dimension {space.dim}"
         )
-    if pts.shape[0] == 0:
-        raise InvalidArgumentError("a point set must be nonempty")
     if not np.isfinite(pts).all():
         raise InvalidArgumentError("point coordinates must be finite")
     return pts
@@ -244,9 +270,10 @@ def minkowski(a: PointSet, b: PointSet) -> PointSet:
 
     The sums are laid out b-major: block j holds a + b_j.  Adding a constant
     keeps a's canonical order in the first column (rounding is monotone), so
-    the first column arrives as len(b) sorted runs, which the canonical sort
-    merges.  Floating-point addition is commutative, so every sum has the
-    bits of a_i + b_j."""
+    the first column arrives as len(b) sorted runs.  The canonical form
+    merges up to _SORTED_RUNS of them with a timsort, and sorts more with
+    numpy's default sort, as it does unordered rows.  Floating-point addition
+    is commutative, so every sum has the bits of a_i + b_j."""
     _check_same_space(a, b)
     npairs = len(a) * len(b)
     if npairs > _PAIR_LIMIT:

@@ -352,6 +352,58 @@ def test_negative_setting_exit_schema(tmp_path, capsys, key):
         f'error: config key "{key}" must be finite and nonnegative, got -1.0\n')
 
 
+@pytest.mark.parametrize("value", [True, False, "1e-3", None],
+                         ids=["true", "false", "string", "null"])
+@pytest.mark.parametrize("key", ["tol", "hullTol", "deltaStep"])
+def test_a_setting_that_is_not_a_json_number_exits_schema(tmp_path, capsys, key, value):
+    # on moving_l1, "tol": true ran as tol 1.0 and converged, "tol": "1e-3"
+    # as 0.001, and "deltaStep": false unpruned until the cardinality cap
+    cfg = json.loads((GOLDEN / "moving_l1.config.json").read_text())
+    cfg[key] = value
+    assert run(["integrate", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == f'error: config key "{key}" must be a number, got {value!r}\n'
+
+
+def test_an_integer_past_the_digit_limit_exits_schema(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(triangle_cfg(tol=1)).replace('"tol": 1', '"tol": 1' + "0" * 5000))
+    assert run(["integrate", "--config", str(path)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: Exceeds the limit")
+
+
+def test_whole_settings_are_taken_as_floats(tmp_path, monkeypatch, capsys):
+    settings = []
+
+    def record(f, schedule, candidate, **kwargs):
+        settings.append(kwargs)
+        raise SolverFailureError("recorded")
+
+    monkeypatch.setattr("setint.cli.run_integrate", record)
+    cfg = write_json(tmp_path, "cfg.json", triangle_cfg(tol=1, deltaStep=0, hullTol=2))
+    assert run(["integrate", "--config", cfg]) == 1
+    assert settings == [{"tol": 1.0, "delta_step": 0.0, "hull_tol": 2.0}]
+    assert all(type(v) is float for v in settings[0].values())
+    capsys.readouterr()
+    # a whole number past the largest float is not finite
+    assert run(["integrate", "--config", triangle_config(tmp_path, tol=10 ** 400)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith('error: config key "tol" must be finite and nonnegative')
+
+
+@pytest.mark.parametrize("where", ["candidate", "candidate-document", "body"])
+def test_an_empty_point_list_exits_schema(tmp_path, capsys, where):
+    cfg = triangle_cfg()
+    if where == "candidate":
+        cfg["candidate"] = []
+    elif where == "candidate-document":
+        cfg["candidate"] = {"space": {"dim": 2, "norm": "l1"}, "points": []}
+    else:
+        cfg["multifunction"]["body"]["inner"]["body"]["points"] = []
+    assert run(["integrate", "--config", write_json(tmp_path, "cfg.json", cfg)]) == EXIT_SCHEMA
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: a point set must be nonempty\n"
+
+
 def test_omitted_settings_take_integrates_defaults(tmp_path, monkeypatch):
     settings = []
 

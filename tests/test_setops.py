@@ -14,6 +14,7 @@ from scipy.spatial.distance import cdist
 from setint.errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
 from setint.integrate import riemann_sum
 from setint.partition import Constant, Multifunction, MovingFinite, eval_mf, uniform_partition
+from setint import setops
 from setint.setops import (
     _BALL_CHUNK,
     _BALL_SAMPLE,
@@ -624,8 +625,17 @@ CANONICAL_CASES = [
 ]
 
 
+@pytest.fixture(params=["timsort", "default-sort"])
+def sort_path(request, monkeypatch):
+    """Send every first-column sort of the canonical form down one path: the
+    stable timsort, or numpy's default sort, which orders ties arbitrarily."""
+    timsort = request.param == "timsort"
+    monkeypatch.setattr("setint.setops._timsorted", lambda first: timsort)
+    return request.param
+
+
 @pytest.mark.parametrize("make, n, dim", CANONICAL_CASES)
-def test_canonicalize_equals_lexsort_form_in_values_and_sign_bits(make, n, dim):
+def test_canonicalize_equals_lexsort_form_in_values_and_sign_bits(make, n, dim, sort_path):
     pts = make(np.random.default_rng(n * dim), n, dim)
     got, want = _canonicalize(pts), _lexsort_canonicalize(pts)
     assert got.shape == want.shape
@@ -654,7 +664,8 @@ BLOCK_CASES = [
 
 
 @pytest.mark.parametrize("make, n, dim", BLOCK_CASES)
-def test_point_sets_equal_per_block_canonical_form_in_values_and_sign_bits(make, n, dim):
+def test_point_sets_equal_per_block_canonical_form_in_values_and_sign_bits(make, n, dim,
+                                                                           sort_path):
     rng = np.random.default_rng(n + dim)
     pts = make(rng, n, dim)
     sizes = _block_sizes(rng, len(pts))
@@ -680,7 +691,7 @@ def test_canonicalize_blocks_ends_each_block_after_its_kept_rows():
     assert np.signbit(pts[3, 0]) and not np.signbit(pts[0, 0])
 
 
-def test_canonicalize_blocks_lexsorts_only_for_ties_within_a_block(monkeypatch):
+def test_canonicalize_blocks_lexsorts_only_for_ties_within_a_block(monkeypatch, sort_path):
     calls = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
@@ -689,8 +700,32 @@ def test_canonicalize_blocks_lexsorts_only_for_ties_within_a_block(monkeypatch):
     _canonicalize_blocks(rows, [2, 2, 2])
     assert calls == []
     pts, ends = _canonicalize_blocks(rows, [3, 3])  # [1, 0] and [1, 2] tie in one block
-    assert calls == [3]  # two columns and the block number
+    # two columns and the block number, and after the default sort the input index
+    assert calls == [3 if sort_path == "timsort" else 4]
     assert ends == [3, 6] and np.array_equal(pts, rows)
+    calls.clear()
+    # one column: the timsort keeps equal rows in input order by itself
+    pts = _canonicalize(np.array([[0.0], [-0.0], [1.0]]))
+    assert calls == ([] if sort_path == "timsort" else [2])
+    assert pts.tolist() == [[0.0], [1.0]] and not np.signbit(pts[0, 0])
+
+
+def test_canonical_form_takes_the_timsort_only_for_sorted_runs(monkeypatch):
+    picks = []
+    timsorted = setops._timsorted
+    monkeypatch.setattr("setint.setops._timsorted",
+                        lambda first: picks.append(timsorted(first)) or picks[-1])
+    rng = np.random.default_rng(5)
+    a, b = PointSet(l2(2), rng.random((400, 2))), PointSet(l2(2), rng.random((3, 2)))
+    gens = PointSet(l2(2), rng.random((6, 2)))
+    picks.clear()
+    total = minkowski(a, b)  # three sorted runs
+    assert picks == [True]
+    picks.clear()
+    power = minkowski_power(gens, 16)  # 20,349 multisets of 6 generators, unordered
+    assert picks == [False] and len(power) == math.comb(21, 5)
+    assert np.array_equal(total.points, _lexsort_canonicalize(
+        (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, 2)))
 
 
 def test_point_sets_rejects_empty_or_non_finite_blocks():
