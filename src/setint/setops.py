@@ -10,16 +10,20 @@ linf solve a small LP with HiGHS (``scipy.optimize.linprog``) and certify it
 by the dual bound of its marginals.
 
 Nearest-neighbour queries (finite Hausdorff distances, the delta-net of
-``prune`` and the generator fast path of hull queries) go through a k-d tree,
-``scipy.spatial.cKDTree``, whose Minkowski exponents p = 1, 2 and infinity are
-exactly the l1, l2 and linf norms.  A finite Hausdorff distance queries the
-larger cloud against a tree of the smaller one, and each answer bounds its
-nearest smaller point's distance to the larger cloud; only the smaller
-points left unbounded query a tree of the larger cloud.  Above
+``prune`` and the generator fast path of hull queries) give the distances of
+a k-d tree, ``scipy.spatial.cKDTree``, whose Minkowski exponents p = 1, 2 and
+infinity are exactly the l1, l2 and linf norms.  Below _DENSE_CELLS pair
+coordinates (and 8 coordinates) a dense numpy kernel gives the same bits
+without a tree (see _pair_terms), and scipy.spatial, like scipy.optimize, is
+imported only on first use.  A finite Hausdorff distance above that cap
+queries the larger cloud against a tree of the smaller one, and each answer
+bounds its nearest smaller point's distance to the larger cloud; only the
+smaller points left unbounded query a tree of the larger cloud.  Above
 _TWO_LEVEL_ROWS points a second level of grid cells, sized by a sampled
 lower bound on the distance, settles most points of both clouds by numpy
 distances to one representative per cell, and only the rest query a tree.
-The result is the same float either way.
+The result is the same float either way.  A distance past the float range
+is computed again on both clouds scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
 from .spaces import SpaceDescriptor, as_vector, cdist_metric, norms, space_from_json, space_to_json
@@ -48,6 +50,17 @@ _HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_to
 #: Minkowski exponent of each norm family, as cKDTree takes it.
 _KDTREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
 
+
+def cKDTree(data):  # noqa: N802 (it stands for scipy's class)
+    """scipy.spatial.cKDTree(data), with scipy.spatial imported on first use:
+    importing it takes about 0.3 s and 36 MB, which a run whose
+    nearest-distance queries all take the dense path (see _dense) never
+    pays."""
+    from scipy.spatial import cKDTree as tree
+
+    return tree(data)
+
+
 #: Iteration cap of the l2 hull NNLS solve, per generator (scipy's default
 #: is 3).
 _NNLS_ITER_PER_GENERATOR = 50
@@ -55,6 +68,13 @@ _NNLS_ITER_PER_GENERATOR = 50
 #: Most ascending runs of a first column that the canonical form still sorts
 #: with a timsort (see _timsorted).
 _SORTED_RUNS = 8
+
+#: Beyond the rows and their sorted copy, the canonical form of more rows
+#: than this holds transient arrays of about this many rows: _fresh_rows
+#: compares chunks of this many rows, and the sorted copy is gathered, and
+#: reordered after a lexsort, one column at a time (a take on all of pts.T
+#: first copies it).  Up to this many rows one take is faster.
+_CHUNK_ROWS = 1 << 14
 
 
 def _canonicalize(points: np.ndarray) -> np.ndarray:
@@ -99,31 +119,53 @@ def _canonicalize_blocks(pts: np.ndarray, sizes) -> tuple[np.ndarray, list[int]]
     across a block boundary, where the later row is always kept.
     """
     many = len(sizes) > 1
-    first = pts[:, 0]
-    stable = _timsorted(first)
-    order = first.argsort(kind="stable") if stable else first.argsort()
+    block = starts = None
     if many:
         sizes = np.asarray(sizes)
         block = np.arange(len(sizes)).repeat(sizes)
         starts = sizes[:-1].cumsum()  # the first row of each later block
-        order = order.take(block.take(order).argsort(kind="stable"))
-    cols = pts.T.take(order, axis=1)
-    first = cols[0]
-    ties = first[1:] == first[:-1]
-    if many:
-        ties[starts - 1] = False  # the neighbours lie in two blocks
-    if (len(cols) > 1 or not stable) and np.count_nonzero(ties):
-        keys = (*cols[::-1], block) if many else (*cols[::-1],)
-        sub = np.lexsort(keys if stable else (order, *keys))
-        order = order.take(sub)
-        cols = cols.take(sub, axis=1)
-    keep = _fresh_rows(cols)
-    if many:
-        keep[starts] = True
+    order, keep = _sorted_fresh_rows(pts, block, starts)
     out = pts.take(order[keep], axis=0)
     if not many:
         return out, [len(out)]
     return out, np.bincount(block[keep], minlength=len(sizes)).cumsum().tolist()
+
+
+def _sorted_fresh_rows(pts: np.ndarray, block, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical order of the rows, and the mask of the sorted rows that
+    _canonicalize_blocks keeps (block numbers and the starts of later blocks
+    given with more than one block).  The sorted copy of the rows lives only
+    here, so that at most it, the rows and transient arrays of _CHUNK_ROWS
+    rows are held at once."""
+    first = pts[:, 0]
+    stable = _timsorted(first)
+    order = first.argsort(kind="stable") if stable else first.argsort()
+    if block is not None:
+        order = order.take(block.take(order).argsort(kind="stable"))
+    if len(order) <= _CHUNK_ROWS:
+        cols = pts.T.take(order, axis=1)
+    else:
+        # with out=, take buffers unless it may clip; order is a permutation
+        cols = np.empty((pts.shape[1], len(order)))
+        for col, column in zip(cols, pts.T):
+            column.take(order, out=col, mode="clip")
+    first = cols[0]
+    ties = first[1:] == first[:-1]
+    if block is not None:
+        ties[starts - 1] = False  # the neighbours lie in two blocks
+    if (len(cols) > 1 or not stable) and np.count_nonzero(ties):
+        keys = (*cols[::-1], block) if block is not None else (*cols[::-1],)
+        sub = np.lexsort(keys if stable else (order, *keys))
+        order = order.take(sub)
+        if len(order) <= _CHUNK_ROWS:
+            cols = cols.take(sub, axis=1)
+        else:
+            for col in cols:
+                col[:] = col.take(sub)
+    keep = _fresh_rows(cols)
+    if block is not None:
+        keep[starts] = True
+    return order, keep
 
 
 def _timsorted(first: np.ndarray) -> bool:
@@ -138,10 +180,13 @@ def _fresh_rows(cols: np.ndarray) -> np.ndarray:
     """Mask of the sorted rows, given as (d, n) columns, that differ from
     their predecessor by more than DEDUP_TOL in some coordinate; the first
     row is always kept."""
-    keep = np.empty(cols.shape[1], dtype=bool)
+    n = cols.shape[1]
+    keep = np.empty(n, dtype=bool)
     keep[0] = True
-    steps = cols[:, 1:] - cols[:, :-1]
-    keep[1:] = (np.abs(steps, out=steps) > DEDUP_TOL).any(axis=0)
+    for start in range(1, n, _CHUNK_ROWS):
+        end = min(n, start + _CHUNK_ROWS)
+        steps = cols[:, start:end] - cols[:, start - 1:end - 1]
+        keep[start:end] = (np.abs(steps, out=steps) > DEDUP_TOL).any(axis=0)
     return keep
 
 
@@ -206,6 +251,8 @@ class PointSet:
             return 0.0
         if self.space.norm == "linf":
             return float((pts.max(axis=0) - pts.min(axis=0)).max())
+        from scipy.spatial.distance import pdist  # see cKDTree
+
         return float(pdist(pts, metric=cdist_metric(self.space)).max())
 
     def same_set(self, other: "PointSet") -> bool:
@@ -290,11 +337,9 @@ def minkowski_power(a: PointSet, k: int, limit: int = _PAIR_LIMIT) -> PointSet:
 
     Its points are sum_j c_j a_j over the count vectors c in N^m with
     c_1 + ... + c_m = k, one per multiset of k generators.  When there are at
-    most ``limit`` multisets, C(k + m - 1, k), they are enumerated and
-    canonicalised once, where k - 1 pairwise sums would each sort up to m
-    times as many rows as they keep: one generator at a time, every partial
-    sum spawns one child per count its remaining budget allows, and the last
-    generator takes what is left.
+    most ``limit`` multisets, C(k + m - 1, k), they are enumerated (see
+    _multiset_sums) and canonicalised once, where k - 1 pairwise sums would
+    each sort up to m times as many rows as they keep.
 
     Otherwise sums may still coincide (the generators of {0, 1}^3 have
     C(k + 7, 7) multisets but (k + 1)^3 sums), so the power is folded one
@@ -308,14 +353,7 @@ def minkowski_power(a: PointSet, k: int, limit: int = _PAIR_LIMIT) -> PointSet:
     if k == 1:
         return a
     if math.comb(k + len(a) - 1, k) <= limit:
-        sums = np.zeros((1, a.space.dim))
-        left = np.array([k])
-        for gen in a.points[:-1]:
-            reps = left + 1
-            counts = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-            sums = np.repeat(sums, reps, axis=0) + counts[:, None] * gen
-            left = np.repeat(left, reps) - counts
-        return PointSet(a.space, sums + left[:, None] * a.points[-1])
+        return PointSet(a.space, _multiset_sums(a.points, k))
     rank = int(np.linalg.matrix_rank(a.points - a.points[0], tol=DEDUP_TOL))
     if math.comb(k + rank, rank) > limit:
         raise ResourceLimitError(
@@ -333,15 +371,114 @@ def minkowski_power(a: PointSet, k: int, limit: int = _PAIR_LIMIT) -> PointSet:
     return acc
 
 
+def _multiset_sums(gens: np.ndarray, k: int) -> np.ndarray:
+    """The sums sum_j c_j gens_j over the count vectors c in N^m with
+    c_1 + ... + c_m = k, as the rows of an (N, d) array, N = C(k + m - 1, k):
+    c_1 ascending, then c_2 within each c_1, and so on.
+
+    One generator at a time, every partial count vector spawns one child per
+    count its remaining budget allows (the last generator takes what is
+    left), and each child stands for a run of the N rows as long as the
+    ways to spend its remaining budget on the later generators.  The count
+    of each row, small ints repeated over those runs, times the generator is
+    added to the preallocated sums, held as (d, N) columns: each coordinate
+    of a row is (((0 + c_1 g_1) + c_2 g_2) + ...) + c_m g_m in floats.  Peak
+    memory is about twice the result.
+    """
+    m, dim = gens.shape
+    small = np.min_scalar_type(k)
+    sums = np.zeros((dim, math.comb(k + m - 1, k)))
+    term = np.empty_like(sums)
+    left = np.array([k])
+    for j, gen in enumerate(gens):
+        later = m - 2 - j  # the generators after this one, less one
+        if later < 0:
+            count = left.astype(small)
+        else:
+            reps = left + 1
+            count = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            left = np.repeat(left, reps) - count
+            ways = np.ones(k + 1, dtype=np.int64)  # C(r + later, later), r = 0..k
+            for i in range(1, later + 1):
+                ways = ways * np.arange(i, k + 1 + i) // i
+            count = np.repeat(count.astype(small), ways[left])
+        sums += np.multiply.outer(gen, count, out=term)
+    del term
+    return sums.T.copy()
+
+
+#: A nearest-distance query between clouds of n and m rows in d coordinates
+#: takes the dense path (see _pair_terms) when d <= _DENSE_MAX_DIM and
+#: n * m * d is at most the norm's cap; larger queries build a k-d tree.  At
+#: the caps the dense path was at least as fast as building a tree and
+#: querying it, for d = 1..7 and n:m from 1:16 to 16:1 (random normal
+#: clouds, best of 41, 2-vCPU Xeon): 31 us against 48 us for 64 x 64 rows
+#: in l2(2), 54 us against 53 us for 48 x 48 rows in l1(7).  In 12 and 24
+#: coordinates the tree was faster in every norm at the sizes under the caps.
+_DENSE_CELLS = {"l1": 16_384, "l2": 8_192, "linf": 16_384}
+_DENSE_MAX_DIM = 7
+
+
+def _dense(space: SpaceDescriptor, pairs: int) -> bool:
+    """Whether a query over ``pairs`` pairs of rows takes the dense path."""
+    return space.dim <= _DENSE_MAX_DIM and pairs * space.dim <= _DENSE_CELLS[space.norm]
+
+
+def _pair_terms(a_pts: np.ndarray, b_pts: np.ndarray, p: float) -> np.ndarray:
+    """The (len(b_pts), len(a_pts)) matrix of cKDTree's p-distances between
+    rows, squared for p = 2, bit for bit, in at most 7 coordinates.
+
+    There cKDTree adds |b_k - a_k| (p = 1) or (b_k - a_k)^2 (p = 2) one
+    coordinate at a time, in order, takes the largest |b_k - a_k| for
+    p = infinity, and takes the square root of the nearest l2 sum only.  So
+    does this, one coordinate of all pairs at a time.  From 8 coordinates on
+    cKDTree adds l2 squares in four interleaved partial sums.  A sum past the
+    float range is inf, as in cKDTree, without a warning.
+    """
+    acc = np.empty((len(b_pts), len(a_pts)))
+    term = np.empty_like(acc)
+    fold = np.maximum if p == math.inf else np.add
+    with np.errstate(over="ignore"):
+        for k in range(b_pts.shape[1]):
+            out = term if k else acc
+            np.subtract.outer(b_pts[:, k], a_pts[:, k], out=out)
+            if p == 2:
+                np.multiply(out, out, out=out)
+            else:
+                np.abs(out, out=out)
+            if k:
+                fold(acc, term, out=acc)
+    return acc
+
+
 def _min_dists_to(a_pts: np.ndarray, b_pts: np.ndarray, space: SpaceDescriptor) -> np.ndarray:
-    """For each row of b_pts, the distance to the nearest row of a_pts."""
-    return cKDTree(a_pts).query(b_pts, p=_KDTREE_P[space.norm])[0]
+    """For each row of b_pts, the cKDTree distance to the nearest row of
+    a_pts; inf where it passes the float range."""
+    p = _KDTREE_P[space.norm]
+    if not _dense(space, len(a_pts) * len(b_pts)):
+        return cKDTree(a_pts).query(b_pts, p=p)[0]
+    near = _pair_terms(a_pts, b_pts, p).min(axis=1)
+    return np.sqrt(near, out=near) if p == 2 else near
+
+
+def _rescaled(largest, a_pts: np.ndarray, b_pts: np.ndarray) -> float:
+    """largest(a_pts, b_pts), the largest of some cKDTree distances between
+    rows of the two clouds.  Where one passed the float range (an l2 square
+    or an l1 sum, on finite rows), it is computed again on both clouds
+    divided by one power of two (see _pow2_unit) and scaled back, as in
+    dist_point_to_set, so it is inf only where the distance is.  Other
+    inputs keep their bits."""
+    worst = float(largest(a_pts, b_pts))
+    if worst == math.inf:
+        unit = max(_pow2_unit(a_pts), _pow2_unit(b_pts))
+        worst = unit * float(largest(a_pts / unit, b_pts / unit))
+    return worst
 
 
 def one_sided_hausdorff(a: PointSet, b: PointSet) -> float:
     """sup over b in B of the distance from b to A (how far B sticks out of A)."""
     _check_same_space(a, b)
-    return float(_min_dists_to(a.points, b.points, a.space).max())
+    return _rescaled(lambda x, y: _min_dists_to(x, y, a.space).max(), a.points, b.points)
 
 
 #: hausdorff settles the rows of a larger cloud of at least this many rows by
@@ -356,55 +493,74 @@ _TWO_LEVEL_ROWS = 8192
 _LOWER_SAMPLE = 64
 
 #: A numpy distance at most _SETTLE times a bound puts the cKDTree distance
-#: of the same two rows below that bound: the two sum the same terms in other
-#: orders, which moves the sum by a few units in 1e-16.  Below _MIN_LOWER, or
-#: at an infinite distance, l2 squares leave the normal range, where that
-#: fails, and the cells are not used.
+#: of the same two rows below that bound.  numpy sums a column's terms in
+#: order, as cKDTree does below 8 coordinates, but cKDTree adds l2 squares
+#: in four interleaved partial sums from 8 coordinates on (measured up to
+#: 24), which moves the sum by a few units in 1e-16.  Below _MIN_LOWER l2
+#: squares leave the normal range, where that fails.  Above _MAX_LOWER a
+#: distance within the cells could pass the float range: they span at most
+#: 2^52 cells of side at most the lower bound along each axis.  Outside
+#: that range the cells are not used.
 _SETTLE = 1 - 1e-12
 _MIN_LOWER = 1e-140
+_MAX_LOWER = 1e100
 
 
 def hausdorff(a: PointSet, b: PointSet) -> float:
-    """max(one_sided_hausdorff(a, b), one_sided_hausdorff(b, a)), bit for bit,
-    usually from one k-d tree.
+    """max(one_sided_hausdorff(a, b), one_sided_hausdorff(b, a)), bit for bit.
 
-    The tree holds the smaller cloud (a on a tie), and the larger cloud's
-    side is the largest distance from one of its rows to that tree.  A row
-    whose distance is bounded below a distance already found cannot raise
-    it and is settled without a query: below _TWO_LEVEL_ROWS larger rows no
-    row is settled, and every row queries the tree; above, grid cells settle
-    most rows (see _settle_by_cells).  A queried row's nearest smaller row,
-    and the smaller row whose distance settled a row, lie within the maximum
-    of the larger rows (cKDTree's p = 1, 2 and infinity distances are
-    symmetric bit for bit), and so does that smaller row's distance to the
-    larger cloud.  So only the other smaller rows can raise the maximum: the
-    cells may settle them too, and the rest alone query a tree of the larger
+    Below the dense cap (see _dense) one matrix of the pairs' distances
+    gives both sides.  Above it, usually one k-d tree does: the tree holds
+    the smaller cloud (a on a tie), and the larger cloud's side is the
+    largest distance from one of its rows to that tree.  A row whose
+    distance is bounded below a distance already found cannot raise it and
+    is settled without a query: below _TWO_LEVEL_ROWS larger rows no row is
+    settled, and every row queries the tree; above, grid cells settle most
+    rows (see _settle_by_cells).  A queried row's nearest smaller row, and
+    the smaller row whose distance settled a row, lie within the maximum of
+    the larger rows (cKDTree's p = 1, 2 and infinity distances are symmetric
+    bit for bit), and so does that smaller row's distance to the larger
+    cloud.  So only the other smaller rows can raise the maximum: the cells
+    may settle them too, and the rest alone query a tree of the larger
     cloud, built only when some exist.  Consecutive Riemann sums nearly
-    nest, and few rows stay open.
+    nest, and few rows stay open.  A distance past the float range is
+    computed again on scaled clouds (see _rescaled).
     """
     _check_same_space(a, b)
     small, large = (b, a) if len(b) < len(a) else (a, b)
-    p = _KDTREE_P[a.space.norm]
-    tree = cKDTree(small.points)
+    return _rescaled(lambda s, t: _hausdorff_rows(s, t, a.space), small.points, large.points)
+
+
+def _hausdorff_rows(small: np.ndarray, large: np.ndarray, space: SpaceDescriptor) -> float:
+    """hausdorff of two clouds of rows, len(small) <= len(large); inf where
+    a distance passes the float range."""
+    p = _KDTREE_P[space.norm]
+    if _dense(space, len(small) * len(large)):
+        terms = _pair_terms(small, large, p)
+        worst = max(terms.min(axis=0).max(), terms.min(axis=1).max())
+        return math.sqrt(worst) if p == 2 else worst
+    tree = cKDTree(small)
     settled = None
     if len(large) >= _TWO_LEVEL_ROWS:
         settled = _settle_by_cells(tree, small, large, p)
     if settled is None:
-        dists, nearest = tree.query(large.points, p=p)
+        dists, nearest = tree.query(large, p=p)
         worst = dists.max()
+        if worst == math.inf:
+            return worst  # the overflowed rows have no nearest row (index len(small))
         open_rows = np.ones(len(small), dtype=bool)
         open_rows[nearest] = False
     else:
         worst, open_rows = settled
     if open_rows.any():
-        worst = max(worst, cKDTree(large.points).query(small.points[open_rows], p=p)[0].max())
-    return float(worst)
+        worst = max(worst, cKDTree(large).query(small[open_rows], p=p)[0].max())
+    return worst
 
 
-def _settle_by_cells(tree: cKDTree, small: PointSet, large: PointSet, p: float):
+def _settle_by_cells(tree, small: np.ndarray, large: np.ndarray, p: float):
     """The larger cloud's side and the mask of the smaller rows left open, as
-    hausdorff uses them, with exact queries only for the rows the cells do
-    not settle; None where the cells cannot be keyed.
+    _hausdorff_rows uses them, with exact queries only for the rows the
+    cells do not settle; None where the cells cannot be keyed.
 
     The largest distance of a sample of larger rows is a lower bound,
     ``lower``, on that side.  The larger rows' bounding box is cut into cells
@@ -416,13 +572,12 @@ def _settle_by_cells(tree: cKDTree, small: PointSet, large: PointSet, p: float):
     The clouds are held as (d, n) columns, whose reductions along a row are
     contiguous.
     """
-    pts = large.points
-    lower = tree.query(pts[::max(1, len(pts) // _LOWER_SAMPLE)], p=p)[0].max()
-    if not _MIN_LOWER < lower < math.inf:
+    lower = tree.query(large[::max(1, len(large) // _LOWER_SAMPLE)], p=p)[0].max()
+    if not _MIN_LOWER < lower < _MAX_LOWER:
         return None
-    dim = large.space.dim
+    dim = large.shape[1]
     side = lower / {1.0: dim, 2.0: math.sqrt(dim)}.get(p, 1)
-    cols = pts.T.copy()
+    cols = large.T.copy()
     low, high = cols.min(axis=1), cols.max(axis=1)
     span = (high - low) / side
     # below 2^52 cells, cell indices computed in floats are exact
@@ -442,28 +597,29 @@ def _settle_by_cells(tree: cKDTree, small: PointSet, large: PointSet, p: float):
     inverse[order] = fresh.cumsum() - 1
     centres = origin + (grid[:, first] + 0.5) * side
     reps = tree.query(centres.T, p=p)[1][inverse]
-    near = _column_norms(p, cols - small.points.T[:, reps]) <= lower * _SETTLE
+    near = _column_norms(p, cols - small.T[:, reps]) <= lower * _SETTLE
     worst = lower
     open_rows = np.ones(len(small), dtype=bool)
     open_rows[reps[near]] = False
     if not near.all():
-        dists, nearest = tree.query(pts[~near], p=p)
+        dists, nearest = tree.query(large[~near], p=p)
         worst = max(worst, dists.max())
         open_rows[nearest] = False
     # the open smaller rows inside the box, and a larger row of their cell
     rows = np.flatnonzero(open_rows)
-    spots = np.floor((small.points.T[:, rows] - origin) / side)
+    spots = np.floor((small.T[:, rows] - origin) / side)
     inside = ((spots >= 0) & (spots <= span)).all(axis=0)
     rows, keys = rows[inside], (spots[:, inside].astype(np.int64) * strides).sum(axis=0)
     at = np.minimum(np.searchsorted(cells, keys), len(cells) - 1)
     hit = cells[at] == keys
     rows, mates = rows[hit], cols[:, first[at[hit]]]
-    open_rows[rows[_column_norms(p, small.points.T[:, rows] - mates) <= worst * _SETTLE]] = False
+    open_rows[rows[_column_norms(p, small.T[:, rows] - mates) <= worst * _SETTLE]] = False
     return worst, open_rows
 
 
 def _column_norms(p: float, cols: np.ndarray) -> np.ndarray:
-    """The cKDTree p-norm of each column of a (d, n) array."""
+    """The p-norm of each column of a (d, n) array, its terms summed in
+    order (see _SETTLE)."""
     if p == 2:
         return np.sqrt((cols * cols).sum(axis=0))
     cols = np.abs(cols)

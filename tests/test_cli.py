@@ -5,6 +5,7 @@ import io
 import json
 import math
 import operator
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import setint
 from setint.cli import CONFIG_VERSION, EXIT_RESOURCE, EXIT_SCHEMA, build_parser, parse_schedule, run
 from setint.counterexamples import witness_distance
 from setint.errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
@@ -153,12 +155,73 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("name", ["moving_l1", "constant_l2", "moving_linf",
                                   "piecewise_hull_l1", "piecewise_hull_l2"])
-def test_integrate_json_matches_recorded_output(tmp_path, name):
-    jpath = tmp_path / "out.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = run(["integrate", "--config", str(GOLDEN / f"{name}.config.json"), "--json", str(jpath)])
-    assert code == 3  # inconclusive: the recorded schedules stop short of tol
-    assert jpath.read_text() == (GOLDEN / f"{name}.out.json").read_text()
+def test_integrate_json_matches_recorded_output(tmp_path, monkeypatch, name):
+    # as configured, then with every nearest-distance query down the k-d
+    # tree path, and (below 8 coordinates) down the dense one
+    for cells in (None, 0, 10**18):
+        if cells is not None:
+            monkeypatch.setattr("setint.setops._DENSE_CELLS", dict.fromkeys(("l1", "l2", "linf"), cells))
+        jpath = tmp_path / "out.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(["integrate", "--config", str(GOLDEN / f"{name}.config.json"), "--json", str(jpath)])
+        assert code == 3  # inconclusive: the recorded schedules stop short of tol
+        assert jpath.read_text() == (GOLDEN / f"{name}.out.json").read_text()
+
+
+def _far_candidate_cfg(norm: str, far: list, hull: bool) -> dict:
+    """A constant 2-point body in ``norm``(2), raw or under convex_hull_of,
+    against a candidate with one point at ``far``."""
+    inner = {"space": {"dim": 2, "norm": norm}, "boundM": 2.0, "diamBound": 2.0,
+             "body": {"kind": "constant", "points": [[0, 0], [1, 0]]}}
+    mf = {**inner, "body": {"kind": "convex_hull_of", "inner": inner}} if hull else inner
+    return {"version": CONFIG_VERSION, "multifunction": mf, "schedule": [1, 2],
+            "candidate": [far, [0, 1], [2, 2]]}
+
+
+@pytest.mark.parametrize("norm, far", [("l2", [1e160, 1e160]), ("l1", [1.7e308, 1.7e308])])
+def test_a_candidate_past_the_float_range_ends_as_the_hull_path_does(tmp_path, norm, far):
+    # l2: the squares overflow, the distance does not; l1: the distance
+    # itself lies past the float range
+    rows = []
+    for hull in (False, True):
+        jpath = tmp_path / f"{hull}.json"
+        cfg = write_json(tmp_path, f"{hull}.cfg.json", _far_candidate_cfg(norm, far, hull))
+        # the l1 hull LP sums past the float range with a numpy warning
+        quiet = np.errstate(over="ignore") if hull else contextlib.nullcontext()
+        with quiet, contextlib.redirect_stdout(io.StringIO()):
+            assert run(["integrate", "--config", cfg, "--json", str(jpath)]) == 3
+        rows.append([r["distance"] for r in json.loads(jpath.read_text())["rows"]])
+    raw, hull = rows
+    if norm == "l2":
+        assert raw == pytest.approx(hull, rel=1e-15) and max(raw) < math.inf
+    else:
+        assert raw == hull == [math.inf, math.inf]
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter
+    that imports setint from this checkout."""
+    src = str(Path(setint.__file__).parents[1])
+    script = (f"import json, sys\nsys.path.insert(0, {src!r})\n{code}\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert _scipy_modules_after("import setint.cli") == []
+
+
+@pytest.mark.parametrize("command", ["integrate", "balance", "infratype"])
+def test_small_runs_never_load_scipy_spatial(tmp_path, command):
+    argv = {
+        "integrate": ["integrate", "--config", triangle_config(tmp_path)],
+        "balance": ["balance", "--vectors",
+                    write_json(tmp_path, "v.json", balance_doc([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))],
+        "infratype": ["infratype", "--norm", "l1", "--dim", "2", "--trials", "20"],
+    }[command]
+    loaded = _scipy_modules_after(f"from setint.cli import run\nrun({argv!r})")
+    assert "scipy.spatial" not in loaded
 
 
 def _nnls_hits_its_cap(*args, **kwargs):

@@ -799,6 +799,49 @@ def test_minkowski_power_equals_folded_sum(space):
             folded = minkowski(folded, a)
 
 
+def _grown_power(a, k):
+    """The rows minkowski_power(a, k) enumerates, k >= 2, built another way:
+    partial sums grown one generator at a time, every one spawning a child
+    per count its budget allows, (((0 + c_1 g_1) + c_2 g_2) + ...) + c_m g_m
+    in floats."""
+    sums = np.zeros((1, a.space.dim))
+    left = np.array([k])
+    for gen in a.points[:-1]:
+        reps = left + 1
+        counts = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        sums = np.repeat(sums, reps, axis=0) + counts[:, None] * gen
+        left = np.repeat(left, reps) - counts
+    return sums + left[:, None] * a.points[-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_minkowski_power_equals_grown_partial_sums_in_values_and_sign_bits(dim):
+    rng = np.random.default_rng(dim)
+    for m in range(1, 7):
+        for k in (2, 3, 7, 16):
+            gens = rng.standard_normal((m, dim))
+            gens[rng.random((m, dim)) < 0.3] = -0.0  # c * -0.0 is -0.0, and 0.0 + -0.0 is 0.0
+            gens[rng.random((m, dim)) < 0.3] = 0.25  # dyadic ties in the sums
+            a = PointSet(l2(dim), gens)
+            got = minkowski_power(a, k).points
+            want = _lexsort_canonicalize(_grown_power(a, k))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_minkowski_power_peaks_at_most_two_and_a_half_times_its_result():
+    # the 7-fold power of the 19 basis vectors of l1(19): 480,700 rows, 73 MB
+    a = PointSet(l1(19), np.eye(19))
+    tracemalloc.start()
+    try:
+        power = minkowski_power(a, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(power) == math.comb(25, 7)
+    assert peak <= 2.5 * power.points.nbytes
+
+
 def test_minkowski_power_merges_coincident_sums():
     seg = ps(l1(1), [[0], [1], [2]])
     assert minkowski_power(seg, 4).same_set(ps(l1(1), [[i] for i in range(9)]))
@@ -846,6 +889,16 @@ def _two_tree_hausdorff(a, b):
                cKDTree(b.points).query(a.points, p=p)[0].max())
 
 
+def force_dense_cells(monkeypatch, cells):
+    """Cap every norm's dense nearest-distance queries at ``cells``: 0 sends
+    every query down the tree path, DENSE_EVERYWHERE every query in at most
+    _DENSE_MAX_DIM coordinates down the dense one."""
+    monkeypatch.setattr("setint.setops._DENSE_CELLS", dict.fromkeys(_KDTREE_P, cells))
+
+
+DENSE_EVERYWHERE = 10**18
+
+
 def _raw_sum(space, gens, n):
     """The raw Riemann sum S(F, T_n) of the constant body F(t) = gens on
     uniform_partition(n)."""
@@ -879,13 +932,93 @@ HAUSDORFF_CASES = [
 
 
 @pytest.mark.parametrize("a, b", HAUSDORFF_CASES)
-def test_hausdorff_equals_two_tree_value_in_both_orders(a, b):
+def test_hausdorff_equals_two_tree_value_in_both_orders(monkeypatch, a, b):
+    p = _KDTREE_P[a.space.norm]
     want = _two_tree_hausdorff(a, b)
     assert hausdorff(a, b) == want
     assert hausdorff(b, a) == want
+    # the same bits down either path
+    for cells in (0, DENSE_EVERYWHERE):
+        force_dense_cells(monkeypatch, cells)
+        assert hausdorff(a, b) == hausdorff(b, a) == want
+        assert one_sided_hausdorff(a, b) == cKDTree(a.points).query(b.points, p=p)[0].max()
+
+
+def _dense_cases(dim):
+    """(a, b) pairs of clouds: dyadic ties, signed zeros and shared rows,
+    magnitudes of 1e-150 to 1e150, and distances past the float range."""
+    rng = np.random.default_rng(dim)
+    for _ in range(25):
+        na, nb = (int(n) for n in rng.integers(1, 30, 2))
+        yield rng.integers(-4, 5, (na, dim)) / 4.0, rng.integers(-4, 5, (nb, dim)) / 8.0
+        a = rng.standard_normal((na, dim))
+        a[rng.random((na, dim)) < 0.3] = 0.0
+        b = np.concatenate([a[rng.integers(0, na, nb)], rng.standard_normal((2, dim))])
+        yield a, np.where(b == 0.0, -0.0, b)
+        yield (rng.standard_normal((na, dim)) * 10.0 ** rng.choice([-150, 0, 150], (na, dim)),
+               rng.standard_normal((nb, dim)) * 10.0 ** rng.choice([-150, 0, 150], (nb, dim)))
+        yield rng.standard_normal((na, dim)) * 1e160, rng.standard_normal((nb, dim)) * 1e160
+        yield rng.uniform(0.6, 1, (na, dim)) * 1.7e308, rng.uniform(-1, -0.6, (nb, dim)) * 1.7e308
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+@pytest.mark.parametrize("dim", range(1, setops._DENSE_MAX_DIM + 1))
+def test_dense_nearest_distances_are_kdtree_bits(monkeypatch, make, dim):
+    space = make(dim)
+    p = _KDTREE_P[space.norm]
+    force_dense_cells(monkeypatch, DENSE_EVERYWHERE)
+    overflowed = 0
+    for a, b in _dense_cases(dim):
+        assert setops._dense(space, len(a) * len(b))
+        want = cKDTree(a).query(b, p=p)[0]
+        got = setops._min_dists_to(a, b, space)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        overflowed += np.isinf(want).sum()
+    assert overflowed
+    # from 8 coordinates on cKDTree sums l2 squares in another order
+    assert not setops._dense(make(setops._DENSE_MAX_DIM + 1), 1)
+
+
+@pytest.mark.parametrize("cells", [0, DENSE_EVERYWHERE])
+def test_distances_past_the_float_range_are_computed_on_scaled_clouds(monkeypatch, cells):
+    force_dense_cells(monkeypatch, cells)
+    # l2 squares overflow, the distance does not
+    seg, far = ps(l2(2), [[0, 0], [1, 0]]), ps(l2(2), [[1e160, 1e160], [0, 1], [2, 2]])
+    assert hausdorff(seg, far) == hausdorff(far, seg) == pytest.approx(SQ2 * 1e160, rel=1e-15)
+    assert one_sided_hausdorff(seg, far) == hausdorff(seg, far)
+    # past the float range itself, as an l1 sum
+    seg, far = ps(l1(2), [[0, 0], [1, 0]]), ps(l1(2), [[1.7e308, 1.7e308], [0, 1], [2, 2]])
+    assert hausdorff(seg, far) == hausdorff(far, seg) == one_sided_hausdorff(seg, far) == math.inf
+    # a cloud past _TWO_LEVEL_ROWS rows: the cells are not keyed
+    rng = np.random.default_rng(4)
+    big = random_ps(l2(2), _TWO_LEVEL_ROWS + 10, rng)
+    far = translate(random_ps(l2(2), 30, rng), [1e160, 0])
+    unit = 2.0**531  # the largest power of two not above 1e160
+    want = unit * max(cKDTree(big.points / unit).query(far.points / unit)[0].max(),
+                      cKDTree(far.points / unit).query(big.points / unit)[0].max())
+    assert hausdorff(big, far) == hausdorff(far, big) == want
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+def test_hull_distances_take_the_same_bits_on_either_path(monkeypatch, make):
+    rng = np.random.default_rng(12)
+    pairs = [(random_ps(make(dim), m, rng), random_ps(make(dim), n, rng))
+             for dim, m, n in ((2, 3, 5), (2, 9, 9), (3, 4, 12), (3, 12, 20))]
+    pairs += [(b, a) for a, b in pairs]
+    # far generators, in the order in which the hull queries certify
+    tri = ps(make(2), [[0, 0], [1, 0], [0, 1]])
+    pairs += [(tri, ps(make(2), [x, [1, 0], [0, 1]])) for x in ([-1e160, 0.0], [1e300, -1e300])]
+    got = []
+    for cells in (0, DENSE_EVERYWHERE):
+        force_dense_cells(monkeypatch, cells)
+        got.append([hausdorff_hulls(a, b) for a, b in pairs])
+    assert got[0] == got[1]
 
 
 def _count_trees(monkeypatch):
+    """The sizes of the k-d trees built from here on, every query taking the
+    tree path."""
+    force_dense_cells(monkeypatch, 0)
     built = []
 
     def counting(data, *args, **kwargs):
