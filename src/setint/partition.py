@@ -356,10 +356,13 @@ def validate_bounds(f: Multifunction, seed: int = 0) -> None:
     values (constant, piecewise constant, the l1 counterexample) are checked
     exactly, each value once, at the first t that takes it.  The l1
     counterexample's value, the first N basis vectors of l1(N), has norm 1
-    and diameter 2, as any two of them have: two stand for all N.  Moving
-    bodies are checked on BOUND_SAMPLES values of t (0, 1 and seeded
-    uniforms), all evaluated in one pass; the first violating sample is
-    reported.
+    and diameter 2, as any two of them have: two stand for all N.  A moving
+    body whose curves are all linear (at most two coefficient rows) is
+    checked exactly, at t = 0 and t = 1: the norm of a linear curve, and the
+    distance between two of them, are convex in t, so their maxima over
+    [0, 1] lie at the ends.  Other moving bodies are checked on
+    BOUND_SAMPLES values of t (0, 1 and seeded uniforms).  Either way all
+    values are evaluated in one pass, and the first violating t is reported.
     """
     body = f.body
     while isinstance(body, ConvexHullOf):
@@ -370,8 +373,9 @@ def validate_bounds(f: Multifunction, seed: int = 0) -> None:
                 raise InvalidArgumentError(
                     f"curve of dimension {c.shape[1]} does not match space dimension {f.space.dim}"
                 )
-        rng = np.random.default_rng(seed)
-        ts = np.concatenate(([0.0, 1.0], rng.random(BOUND_SAMPLES - 2)))
+        ts = np.array([0.0, 1.0])
+        if any(len(c) > 2 for c in body.curves):
+            ts = np.concatenate((ts, np.random.default_rng(seed).random(BOUND_SAMPLES - 2)))
         values = [(ts, np.stack([_poly_eval(c, ts) for c in body.curves], axis=1))]
     elif isinstance(body, PiecewiseConstant):
         starts = np.clip(body.breaks[:-1], 0.0, 1.0)

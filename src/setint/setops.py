@@ -12,18 +12,22 @@ by the dual bound of its marginals.
 Nearest-neighbour queries (finite Hausdorff distances, the delta-net of
 ``prune`` and the generator fast path of hull queries) give the distances of
 a k-d tree, ``scipy.spatial.cKDTree``, whose Minkowski exponents p = 1, 2 and
-infinity are exactly the l1, l2 and linf norms.  Below _DENSE_CELLS pair
-coordinates (and 8 coordinates) a dense numpy kernel gives the same bits
-without a tree (see _pair_terms), and scipy.spatial, like scipy.optimize, is
-imported only on first use.  A finite Hausdorff distance above that cap
-queries the larger cloud against a tree of the smaller one, and each answer
-bounds its nearest smaller point's distance to the larger cloud; only the
-smaller points left unbounded query a tree of the larger cloud.  Above
-_TWO_LEVEL_ROWS points a second level of grid cells, sized by a sampled
-lower bound on the distance, settles most points of both clouds by numpy
-distances to one representative per cell, and only the rest query a tree.
-The result is the same float either way.  A distance past the float range
-is computed again on both clouds scaled by a power of two.
+infinity are exactly the l1, l2 and linf norms.  Below 8 coordinates and the
+tree's crossover, one matrix of the pairs' distances gives the same bits
+without a tree, in three tiers (see _dense): numpy's kernel (_pair_terms) up
+to _DENSE_CELLS pair coordinates, so that small runs never import
+scipy.spatial; scipy's C kernel ``cdist`` up to _DENSE_PAIRS pairs; and for
+``prune``, a cloud of at most _PDIST_ROWS rows takes its pairs within delta
+from one condensed ``pdist`` matrix (see _net_by_pdist).  scipy.spatial, like
+scipy.optimize, is imported only on first use.  A finite Hausdorff distance
+above the caps queries the larger cloud against a tree of the smaller one,
+and each answer bounds its nearest smaller point's distance to the larger
+cloud; only the smaller points left unbounded query a tree of the larger
+cloud.  Above _TWO_LEVEL_ROWS points a second level of grid cells, sized by
+a sampled lower bound on the distance, settles most points of both clouds by
+numpy distances to one representative per cell, and only the rest query a
+tree.  The result is the same float either way.  A distance past the float
+range is computed again on both clouds scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -34,7 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError, SolverFailureError
-from .spaces import SpaceDescriptor, as_vector, cdist_metric, norms, space_from_json, space_to_json
+from .spaces import (
+    SQUARE_SAFE,
+    SpaceDescriptor,
+    as_vector,
+    cdist_metric,
+    norms,
+    space_from_json,
+    space_to_json,
+)
 
 #: Dedup / point-equality tolerance, absolute per coordinate.
 DEDUP_TOL = 1e-12
@@ -407,21 +419,50 @@ def _multiset_sums(gens: np.ndarray, k: int) -> np.ndarray:
     return sums.T.copy()
 
 
-#: A nearest-distance query between clouds of n and m rows in d coordinates
-#: takes the dense path (see _pair_terms) when d <= _DENSE_MAX_DIM and
-#: n * m * d is at most the norm's cap; larger queries build a k-d tree.  At
-#: the caps the dense path was at least as fast as building a tree and
-#: querying it, for d = 1..7 and n:m from 1:16 to 16:1 (random normal
-#: clouds, best of 41, 2-vCPU Xeon): 31 us against 48 us for 64 x 64 rows
-#: in l2(2), 54 us against 53 us for 48 x 48 rows in l1(7).  In 12 and 24
-#: coordinates the tree was faster in every norm at the sizes under the caps.
+#: A nearest-distance query between clouds of n and m rows in d coordinates,
+#: d <= _DENSE_MAX_DIM, takes one matrix of the pairs' distances in place of
+#: a k-d tree while n * m is at most _DENSE_PAIRS, with cKDTree's bits: numpy
+#: (see _pair_terms) while n * m * d is at most the norm's _DENSE_CELLS, so
+#: that small runs never load scipy.spatial, and scipy's C kernel (see
+#: _cdist_terms) above that.  At the cells caps numpy was at least as fast
+#: as building a tree and querying it, for d = 1..7 and n:m from 1:16 to
+#: 16:1 (random normal clouds, best of 41, 2-vCPU Xeon): 31 us against 48 us
+#: for 64 x 64 rows in l2(2), 54 us against 53 us for 48 x 48 rows in l1(7).
+#: Above them cdist was faster than the tree up to about 2^18 pairs: on the
+#: raw_sets clouds of seeds 7 and 8, a finite Hausdorff distance took 35 us
+#: against 52 us below 20,000 pairs and 145 against 280 us at 20,000-100,000;
+#: on their clouds thinned to a 1:4 row ratio, cdist took a median 0.59 of
+#: the tree's time at 2^16 pairs, 0.71 at 2^17, 0.97 at 2^18 and 1.13 at
+#: 3 * 2^17 (2-vCPU Xeon).  2^18 pairs is a matrix of 2 MB.
+#: In 12 and 24 coordinates the tree was faster in every norm at the sizes
+#: under the caps, and from 8 coordinates on cKDTree adds l2 squares in
+#: another order, so there every query builds a tree.
 _DENSE_CELLS = {"l1": 16_384, "l2": 8_192, "linf": 16_384}
+_DENSE_PAIRS = 1 << 18
 _DENSE_MAX_DIM = 7
 
 
-def _dense(space: SpaceDescriptor, pairs: int) -> bool:
-    """Whether a query over ``pairs`` pairs of rows takes the dense path."""
-    return space.dim <= _DENSE_MAX_DIM and pairs * space.dim <= _DENSE_CELLS[space.norm]
+def _dense(space: SpaceDescriptor, pairs: int):
+    """The kernel of a query over ``pairs`` pairs of rows, _pair_terms or
+    _cdist_terms, or None where it builds a k-d tree."""
+    if space.dim > _DENSE_MAX_DIM or pairs > _DENSE_PAIRS:
+        return None
+    return _pair_terms if pairs * space.dim <= _DENSE_CELLS[space.norm] else _cdist_terms
+
+
+#: scipy.spatial.distance's metric for each cKDTree exponent: for p = 2 the
+#: squared distance, as cKDTree compares and _pair_terms returns it.
+_PAIR_METRIC = {1.0: "cityblock", 2.0: "sqeuclidean", math.inf: "chebyshev"}
+
+
+def _cdist_terms(a_pts: np.ndarray, b_pts: np.ndarray, p: float) -> np.ndarray:
+    """_pair_terms(a_pts, b_pts, p), bit for bit, from scipy's C kernel
+    ``cdist``: below 8 coordinates it, too, adds the terms one coordinate at
+    a time in order, and a sum past the float range is inf without a
+    warning.  scipy.spatial is imported on first use (see cKDTree)."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(b_pts, a_pts, _PAIR_METRIC[p])
 
 
 def _pair_terms(a_pts: np.ndarray, b_pts: np.ndarray, p: float) -> np.ndarray:
@@ -455,9 +496,10 @@ def _min_dists_to(a_pts: np.ndarray, b_pts: np.ndarray, space: SpaceDescriptor) 
     """For each row of b_pts, the cKDTree distance to the nearest row of
     a_pts; inf where it passes the float range."""
     p = _KDTREE_P[space.norm]
-    if not _dense(space, len(a_pts) * len(b_pts)):
+    kernel = _dense(space, len(a_pts) * len(b_pts))
+    if kernel is None:
         return cKDTree(a_pts).query(b_pts, p=p)[0]
-    near = _pair_terms(a_pts, b_pts, p).min(axis=1)
+    near = kernel(a_pts, b_pts, p).min(axis=1)
     return np.sqrt(near, out=near) if p == 2 else near
 
 
@@ -509,8 +551,8 @@ _MAX_LOWER = 1e100
 def hausdorff(a: PointSet, b: PointSet) -> float:
     """max(one_sided_hausdorff(a, b), one_sided_hausdorff(b, a)), bit for bit.
 
-    Below the dense cap (see _dense) one matrix of the pairs' distances
-    gives both sides.  Above it, usually one k-d tree does: the tree holds
+    Below the caps (see _dense) one matrix of the pairs' distances, numpy's
+    or cdist's, gives both sides.  Above them, usually one k-d tree does: the tree holds
     the smaller cloud (a on a tie), and the larger cloud's side is the
     largest distance from one of its rows to that tree.  A row whose
     distance is bounded below a distance already found cannot raise it and
@@ -535,8 +577,9 @@ def _hausdorff_rows(small: np.ndarray, large: np.ndarray, space: SpaceDescriptor
     """hausdorff of two clouds of rows, len(small) <= len(large); inf where
     a distance passes the float range."""
     p = _KDTREE_P[space.norm]
-    if _dense(space, len(small) * len(large)):
-        terms = _pair_terms(small, large, p)
+    kernel = _dense(space, len(small) * len(large))
+    if kernel is not None:
+        terms = kernel(small, large, p)
         worst = max(terms.min(axis=0).max(), terms.min(axis=1).max())
         return math.sqrt(worst) if p == 2 else worst
     tree = cKDTree(small)
@@ -721,13 +764,19 @@ def _hull_dist_lp(space: SpaceDescriptor, x: np.ndarray, pts: np.ndarray, tol: f
     The value is the distance to the hull point of the clipped, renormalised
     lambda (an upper bound); the dual marginals give a dual-norm unit vector
     w with w.x - max_i w.a_i <= exact, a lower bound.  Their difference is the
-    gap.
+    gap.  Both are computed on the generators minus x divided by one power
+    of two (see _pow2_unit), and scaled back by the same exact factor, as in
+    _hull_dist_l2: a distance past the float range is inf with a finite
+    gap, not a NaN one.  A gap that is not at most tol, NaN included, raises
+    SolverFailureError.
     """
     # Imported here: loading scipy.optimize costs about 0.1 s, which every
     # run would otherwise pay at import time.
     from scipy.optimize import linprog
 
     diff = pts - x
+    unit = _pow2_unit(diff)
+    diff /= unit
     g, d = pts.shape
     nvar = g + (d if space.norm == "l1" else 1)
     c = np.zeros(nvar)
@@ -749,8 +798,9 @@ def _hull_dist_lp(space: SpaceDescriptor, x: np.ndarray, pts: np.ndarray, tol: f
     w = res.ineqlin.marginals[0::2] - res.ineqlin.marginals[1::2]
     w = np.clip(w, -1.0, 1.0) if space.norm == "l1" else w / max(1.0, float(np.abs(w).sum()))
     proj = diff @ w
-    gap = max(value - max(-float(proj.max()), float(proj.min()), 0.0), 0.0)
-    if gap > tol:
+    gap = unit * max(value - max(-float(proj.max()), float(proj.min()), 0.0), 0.0)
+    value = unit * value
+    if not gap <= tol:
         raise SolverFailureError("hull LP certificate exceeds tol", value=value, gap=gap)
     return value, gap
 
@@ -765,13 +815,15 @@ def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
     smaller of the two.  Generators are visited by decreasing nearest
     distance, and a side stops once that distance cannot raise the maximum
     over both sides so far (or the generator appears in the other cloud).
+    The side whose largest nearest distance is larger is visited first (b's
+    generators on a tie), so the result, the maximum over all generators, is
+    found from the same queries in either argument order.
     """
     if not tol > 0:
         raise InvalidArgumentError("tol must be positive")
     _check_same_space(a, b)
 
-    def side(target: PointSet, queries: PointSet, worst: float) -> float:
-        near = _min_dists_to(target.points, queries.points, a.space)
+    def side(target: PointSet, queries: PointSet, near: np.ndarray, worst: float) -> float:
         for i in np.argsort(-near):
             if near[i] <= max(worst, DEDUP_TOL):
                 break  # sorted: no later generator is farther than worst
@@ -779,18 +831,54 @@ def hausdorff_hulls(a: PointSet, b: PointSet, tol: float = 1e-8) -> float:
             worst = max(worst, min(val, float(near[i])))
         return worst
 
-    return side(b, a, side(a, b, 0.0))
+    sides = [(a, b, _min_dists_to(a.points, b.points, a.space)),
+             (b, a, _min_dists_to(b.points, a.points, a.space))]
+    if sides[1][2].max() > sides[0][2].max():
+        sides.reverse()
+    worst = 0.0
+    for target, queries, near in sides:
+        worst = side(target, queries, near, worst)
+    return worst
 
+
+#: prune takes a cloud of at most this many rows, in at most _DENSE_MAX_DIM
+#: coordinates, through one condensed pdist matrix (see _net_by_pdist) in
+#: place of a k-d tree.  Per prune call on the raw_sets clouds of seeds 7
+#: and 8 (2-vCPU Xeon), tree against pdist: 24 against 28 us at 1-16 rows,
+#: 49 against 40 us at 17-64, 78 against 59 at 65-128, 153 against 112 at
+#: 129-256 and 261 against 210 at 257-512; pdist tied at 513-768 rows
+#: (657 against 668 us) and lost at 769-1,024 (953 against 1,222 us).  The
+#: matrix of 512 rows takes 1 MB.
+_PDIST_ROWS = 512
 
 #: Clouds of at most this many rows group their pairs by a 16-bit key.
 _RADIX_ROWS = 1 << 16
 
 
+def _net_by_pdist(pts: np.ndarray, delta: float, p: float) -> np.ndarray:
+    """Mask of the greedy net's rows, from one condensed matrix of the
+    pairs' distances (scipy's ``pdist``, with cKDTree's bits, see
+    _cdist_terms) compared with delta, or delta * delta for the squared l2
+    distances, as cKDTree compares them.  The matrix lists the pairs i < j
+    row by row, so the pairs within delta come grouped by i, and j in
+    order, with no tree and no sort: row i's pairs end at entry
+    ends_i = (i + 1)(2n - 2 - i) / 2, and entry k of them is the pair
+    (i, k - ends_i + n)."""
+    from scipy.spatial.distance import pdist  # see cKDTree
+
+    n = len(pts)
+    hits = np.flatnonzero(pdist(pts, _PAIR_METRIC[p]) <= (delta * delta if p == 2 else delta))
+    rows = np.arange(1, n + 1)
+    ends = rows * (2 * n - 1 - rows) // 2
+    return _walk_net(n, hits.tolist(), hits.searchsorted(ends).tolist(), (ends - n).tolist())
+
+
 def _net_by_pairs(tree: cKDTree, delta: float, p: float) -> np.ndarray:
     """Mask of the greedy net's rows, from one enumeration of the pairs
-    i < j within delta, grouped into forward neighbour lists.  The walk
-    visits only the rows it keeps: bytearray.find gives the next uncovered
-    row, and its later neighbours, from Python lists, are marked covered."""
+    i < j within delta by the k-d tree, grouped by i into forward neighbour
+    lists: the walk of sparse clouds of more than _PDIST_ROWS rows, or in 8
+    or more coordinates, where the tree is cheaper than _net_by_pdist's
+    matrix of every pair."""
     n = tree.n
     pairs = tree.query_pairs(delta, p=p, output_type="ndarray")
     first = pairs[:, 0]
@@ -800,20 +888,28 @@ def _net_by_pairs(tree: cKDTree, delta: float, p: float) -> np.ndarray:
     # sort, and of int64 keys a timsort; both keep each group's order.
     key = first.astype(np.uint16) if n <= _RADIX_ROWS else first
     later = pairs[key.argsort(kind="stable"), 1].tolist()
-    ends = np.bincount(first, minlength=n).cumsum().tolist()
+    return _walk_net(n, later, np.bincount(first, minlength=n).cumsum().tolist(), [0] * n)
+
+
+def _walk_net(n: int, keys: list, ends: list, shift: list) -> np.ndarray:
+    """Mask of the greedy net's rows, given row i's later neighbours within
+    delta as j - shift[i] for j in keys[ends[i - 1]:ends[i]] (from 0 for row
+    0).  The walk visits only the rows it keeps: bytearray.find gives the
+    next uncovered row, and its later neighbours are marked covered."""
     covered = bytearray(n)
     # a row is covered only by earlier kept rows, so it is final when reached
     i = covered.find(0)
     while i >= 0:
-        for j in later[ends[i - 1] if i else 0:ends[i]]:
-            covered[j] = 1
+        offset = shift[i]
+        for k in keys[ends[i - 1] if i else 0:ends[i]]:
+            covered[k - offset] = 1
         i = covered.find(0, i + 1)
     return np.frombuffer(covered, dtype=np.uint8) == 0
 
 
 def _net_by_balls(tree: cKDTree, delta: float, p: float) -> np.ndarray:
     """Mask of the greedy net's rows, from one delta-ball query per kept row;
-    as in _net_by_pairs, bytearray.find gives the next uncovered row."""
+    as in _walk_net, bytearray.find gives the next uncovered row."""
     covered = bytearray(tree.n)
     marks = np.frombuffer(covered, dtype=np.uint8)
     kept = np.zeros(tree.n, dtype=bool)
@@ -846,32 +942,12 @@ _BALL_CHUNK = 8
 _PAIR_WALK_MAX_BALL = 16
 
 
-def prune(a: PointSet, delta: float) -> PrunedSet:
-    """Greedy delta-net over the canonical point order.
-
-    Invariant: a point is kept iff it is more than delta away from every
-    earlier kept point.  The walk keeps each point not yet covered and marks
-    its closed delta-ball as covered, so every dropped point is within delta
-    of the result and the Hausdorff error is certified by delta.
-
-    The net is the lexicographically first maximal independent set of the
-    graph joining points within delta.  On sparse clouds one k-d tree
-    enumeration of those pairs gives each point's later neighbours, and the
-    walk marks them.  Where the sampled delta-balls hold more than
-    _PAIR_WALK_MAX_BALL points on average, the pair list would outgrow the
-    walk, and each kept point queries its own ball instead.  Both walks use
-    the same closed ball and the same cKDTree distance, and keep the same
-    points.  Both visit only the points they keep: bytearray.find jumps to
-    the next point not yet covered, which only earlier kept points could
-    have covered, so it is kept.
-    """
-    if not 0 <= delta < math.inf:
-        raise InvalidArgumentError("delta must be finite and nonnegative")
-    if delta == 0 or len(a) == 1:
-        return PrunedSet(a, float(delta))
-    pts = a.points
+def _net_by_tree(pts: np.ndarray, delta: float, p: float) -> np.ndarray:
+    """Mask of the greedy net's rows from a k-d tree of the rows: by its
+    pairs (_net_by_pairs), or by one ball per kept row (_net_by_balls) where
+    the sampled delta-balls hold more than _PAIR_WALK_MAX_BALL rows on
+    average."""
     tree = cKDTree(pts)
-    p = _KDTREE_P[a.space.norm]
     walk = _net_by_pairs
     if len(pts) > _PAIR_WALK_MAX_BALL:  # a smaller cloud's balls cannot hold more
         sample = pts[::max(_BALL_STRIDE, math.ceil(len(pts) / _BALL_SAMPLE))]
@@ -885,10 +961,52 @@ def prune(a: PointSet, delta: float) -> PrunedSet:
             if budget < 0:
                 walk = _net_by_balls
                 break
+    return walk(tree, delta, p)
+
+
+def prune(a: PointSet, delta: float) -> PrunedSet:
+    """Greedy delta-net over the canonical point order.
+
+    Invariant: a point is kept iff it is more than delta away from every
+    earlier kept point.  The walk keeps each point not yet covered and marks
+    its closed delta-ball as covered, so every dropped point is within delta
+    of the result and the Hausdorff error is certified by delta.
+
+    The net is the lexicographically first maximal independent set of the
+    graph joining points within delta, found by one of three walks.  A cloud
+    of at most _PDIST_ROWS points in at most _DENSE_MAX_DIM coordinates
+    takes its pairs within delta from one condensed pdist matrix
+    (_net_by_pdist), which lists them grouped by their earlier point.  A
+    larger cloud builds a k-d tree: on sparse clouds one enumeration of its
+    pairs gives each point's later neighbours (_net_by_pairs); where the
+    sampled delta-balls hold more than _PAIR_WALK_MAX_BALL points on
+    average, the pair list would outgrow the walk, and each kept point
+    queries its own ball instead (_net_by_balls).  All three use the same
+    closed ball and cKDTree's distance, and keep the same points.  Each
+    visits only the points it keeps: bytearray.find jumps to the next point
+    not yet covered, which only earlier kept points could have covered, so
+    it is kept.  A delta whose square passes the float range takes the tree.
+    cKDTree raises ValueError where the l2 squares of its boxes pass the
+    float range, so a cloud that takes the tree with a coordinate past
+    SQUARE_SAFE is walked on its rows and delta divided by one power of two,
+    which is exact.
+    """
+    if not 0 <= delta < math.inf:
+        raise InvalidArgumentError("delta must be finite and nonnegative")
+    if delta == 0 or len(a) == 1:
+        return PrunedSet(a, float(delta))
+    pts = a.points
+    p = _KDTREE_P[a.space.norm]
+    if len(pts) <= _PDIST_ROWS and a.space.dim <= _DENSE_MAX_DIM and delta * delta < math.inf:
+        # a squared l2 distance past the float range is more than delta * delta
+        kept = _net_by_pdist(pts, delta, p)
+    else:
+        unit = _pow2_unit(pts)
+        kept = _net_by_tree(pts / unit, delta / unit, p) if unit > SQUARE_SAFE else _net_by_tree(pts, delta, p)
     # A subsequence of canonical rows is still sorted.  Kept rows are more
     # than delta apart in the norm, so more than delta / dim in some
     # coordinate; twice the margin covers the rounding of either distance.
-    rows = pts[walk(tree, delta, p)]
+    rows = pts[kept]
     if delta <= 2 * a.space.dim * DEDUP_TOL:
         rows = _drop_near_duplicates(rows)
     return PrunedSet(PointSet._of_canonical(a.space, rows), float(delta))

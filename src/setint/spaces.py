@@ -71,8 +71,32 @@ def _norms_nocheck(space: SpaceDescriptor, points: np.ndarray) -> np.ndarray:
     if space.norm == "l1":
         return np.abs(points).sum(axis=1)
     if space.norm == "l2":
-        return np.sqrt((points * points).sum(axis=1))
+        return _l2_norms(points)
     return np.abs(points).max(axis=1)
+
+
+#: No sum of squares of fewer than 2^23 coordinates of at most this size in
+#: absolute value passes the float range.
+SQUARE_SAFE = 2.0**500
+
+
+def _l2_norms(points: np.ndarray) -> np.ndarray:
+    """Row-wise l2 norms.  A row whose sum of squares passes the float range
+    is computed again on its coordinates divided by one power of two, the
+    largest not above its largest |coordinate| (exact, and it brings them
+    into (-2, 2)), and scaled back; so it is inf only where the norm is, and
+    other rows keep their bits."""
+    if np.abs(points).max(initial=0.0) <= SQUARE_SAFE:
+        return np.sqrt((points * points).sum(axis=1))
+    with np.errstate(over="ignore"):
+        squares = (points * points).sum(axis=1)
+        out = np.sqrt(squares)
+        far = np.flatnonzero(squares == np.inf)
+        rows = points[far]
+        unit = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1] - 1)
+        rows = rows / unit[:, None]
+        out[far] = unit * np.sqrt((rows * rows).sum(axis=1))
+    return out
 
 
 def cdist_metric(space: SpaceDescriptor) -> str:

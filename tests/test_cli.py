@@ -156,11 +156,14 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("name", ["moving_l1", "constant_l2", "moving_linf",
                                   "piecewise_hull_l1", "piecewise_hull_l2"])
 def test_integrate_json_matches_recorded_output(tmp_path, monkeypatch, name):
-    # as configured, then with every nearest-distance query down the k-d
-    # tree path, and (below 8 coordinates) down the dense one
-    for cells in (None, 0, 10**18):
-        if cells is not None:
-            monkeypatch.setattr("setint.setops._DENSE_CELLS", dict.fromkeys(("l1", "l2", "linf"), cells))
+    # as configured, then with every nearest-distance query and prune down
+    # the k-d tree, and (below 8 coordinates) down scipy's distance matrices
+    # and numpy's dense kernel
+    for caps in (None, (0, 0, 0), (0, 10**18, 10**18), (10**18, 10**18, 10**18)):
+        if caps is not None:
+            monkeypatch.setattr("setint.setops._DENSE_CELLS", dict.fromkeys(("l1", "l2", "linf"), caps[0]))
+            monkeypatch.setattr("setint.setops._DENSE_PAIRS", caps[1])
+            monkeypatch.setattr("setint.setops._PDIST_ROWS", caps[2])
         jpath = tmp_path / "out.json"
         with contextlib.redirect_stdout(io.StringIO()):
             code = run(["integrate", "--config", str(GOLDEN / f"{name}.config.json"), "--json", str(jpath)])
@@ -186,9 +189,7 @@ def test_a_candidate_past_the_float_range_ends_as_the_hull_path_does(tmp_path, n
     for hull in (False, True):
         jpath = tmp_path / f"{hull}.json"
         cfg = write_json(tmp_path, f"{hull}.cfg.json", _far_candidate_cfg(norm, far, hull))
-        # the l1 hull LP sums past the float range with a numpy warning
-        quiet = np.errstate(over="ignore") if hull else contextlib.nullcontext()
-        with quiet, contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()):
             assert run(["integrate", "--config", cfg, "--json", str(jpath)]) == 3
         rows.append([r["distance"] for r in json.loads(jpath.read_text())["rows"]])
     raw, hull = rows
@@ -196,6 +197,26 @@ def test_a_candidate_past_the_float_range_ends_as_the_hull_path_does(tmp_path, n
         assert raw == pytest.approx(hull, rel=1e-15) and max(raw) < math.inf
     else:
         assert raw == hull == [math.inf, math.inf]
+
+
+@pytest.mark.parametrize("delta_step", [1e158, 3e158])
+def test_a_pruned_l2_body_whose_squares_pass_the_float_range_runs(tmp_path, delta_step):
+    # five linear curves at 1e160 in l2(2): the squares of their norms and
+    # of their sums' extents pass the float range, not the distances.  The
+    # square of delta_step does too, so every sum is pruned by a k-d tree of
+    # its rows divided by a power of two, where cKDTree raised ValueError.
+    rng = np.random.default_rng(1)
+    curves = [(np.stack([rng.standard_normal(2), 0.3 * rng.standard_normal(2)]) * 1e160).tolist()
+              for _ in range(5)]
+    body = {"kind": "moving_finite", "curves": curves}
+    mf = {"space": {"dim": 2, "norm": "l2"}, "boundM": 1e300, "diamBound": 1e300, "body": body}
+    cfg = write_json(tmp_path, "far.json", {"version": CONFIG_VERSION, "multifunction": mf,
+                                            "schedule": [2, 4, 8, 16], "deltaStep": delta_step})
+    jpath = tmp_path / "out.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["integrate", "--config", cfg, "--json", str(jpath)]) == 3
+    rows = json.loads(jpath.read_text())["rows"]
+    assert all(0 < r["distance"] < math.inf for r in rows[1:])
 
 
 def _scipy_modules_after(code: str) -> list[str]:

@@ -268,6 +268,29 @@ def test_validate_bounds_samples_a_moving_body_inside_the_interval():
         validate_bounds(f)
 
 
+def test_validate_bounds_checks_a_linear_body_at_the_two_ends_only(monkeypatch):
+    # the norm of 2t passes 1 only at t = 1: no sample between the ends is
+    # needed, or taken, to see it
+    evaluated, poly_eval = [], partition._poly_eval
+    monkeypatch.setattr(partition, "_poly_eval",
+                        lambda coeffs, ts: evaluated.append(ts.tolist()) or poly_eval(coeffs, ts))
+    curves = (np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[0.5, 0.0]]))
+    f = Multifunction(l2(2), MovingFinite(curves), bound_m=1.0, diam_bound=4.0)
+    with pytest.raises(ConfigError, match=r"^declared norm bound 1.0 violated at t=1\.0$"):
+        validate_bounds(f)
+    assert evaluated == [[0.0, 1.0], [0.0, 1.0]]
+
+
+def test_validate_bounds_accepts_an_l2_body_whose_squares_overflow():
+    # the norm of [-1e160, 0] is 1e160, though its square passes the float range
+    space = l2(2)
+    inner = Multifunction(space, Constant(PointSet(space, [[-1e160, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+                          1e300, 1e300)
+    validate_bounds(Multifunction(space, ConvexHullOf(inner), 1e300, 1e300))
+    with pytest.raises(ConfigError, match="norm bound 1e\\+159 violated"):
+        validate_bounds(Multifunction(space, ConvexHullOf(inner), 1e159, 1e300))
+
+
 @pytest.mark.parametrize("hull", [False, True])
 @pytest.mark.parametrize("bound_m, diam", [(1.0, 2.0), (0.5, 2.0), (1.0, 1.5), (3.0, 9.0)])
 @pytest.mark.parametrize("n, trunc_dim", [(2, 3), (3, 7), (3, 16)])

@@ -222,6 +222,42 @@ def test_hull_l2_far_points_stay_finite(x, exact):
     assert hausdorff_hulls(tri, ps(space, [x, [1, 0], [0, 1]])) == pytest.approx(exact, rel=1e-15)
 
 
+@pytest.mark.parametrize("make", [l1, l2, linf])
+@pytest.mark.parametrize("x", [[-1e160, 0.0], [1e300, -1e300]])
+def test_hausdorff_hulls_does_not_depend_on_argument_order(make, x):
+    # only x lies off the other hull, and its side, whose nearest distance
+    # is the larger, is visited first; the (near zero) distance of [0, 0] to
+    # conv(far) cannot be certified to tol at this scale, and is not needed
+    tri = ps(make(2), [[0, 0], [1, 0], [0, 1]])
+    far = ps(make(2), [x, [1, 0], [0, 1]])
+    value = hausdorff_hulls(tri, far)
+    assert hausdorff_hulls(far, tri) == value == dist_point_to_hull(make(2), x, tri)[0]
+    if x[1] == 0.0:
+        assert value == 1e160
+
+
+@pytest.mark.parametrize("space, x, exact", [(l1(2), [1.7e308, 1.7e308], math.inf),
+                                             (linf(2), [1.7e308, -1.7e308], 1.7e308)])
+def test_hull_lp_past_the_float_range_certifies_a_finite_gap(space, x, exact):
+    # the l1 distance lies past the float range; a RuntimeWarning fails the test
+    value, gap = dist_point_to_hull(space, x, ps(space, [[0, 0], [1, 0]]))
+    assert value == pytest.approx(exact, rel=1e-15)
+    assert gap == 0.0
+
+
+def test_hull_lp_with_a_nan_certificate_raises(monkeypatch):
+    from scipy.optimize import linprog
+
+    def nan_marginals(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.ineqlin.marginals[:] = math.nan
+        return res
+
+    monkeypatch.setattr("scipy.optimize.linprog", nan_marginals)
+    with pytest.raises(SolverFailureError):
+        dist_point_to_hull(l1(2), [2.0, 3.0], ps(l1(2), [[0, 0], [1, 0]]))
+
+
 def test_hull_l2_stalled_corral_raises():
     # At the optimum the duality gap is rounding noise (about 1e-15), so a
     # tol below it cannot be certified, and the answer must not pass for a
@@ -889,14 +925,22 @@ def _two_tree_hausdorff(a, b):
                cKDTree(b.points).query(a.points, p=p)[0].max())
 
 
-def force_dense_cells(monkeypatch, cells):
-    """Cap every norm's dense nearest-distance queries at ``cells``: 0 sends
-    every query down the tree path, DENSE_EVERYWHERE every query in at most
-    _DENSE_MAX_DIM coordinates down the dense one."""
-    monkeypatch.setattr("setint.setops._DENSE_CELLS", dict.fromkeys(_KDTREE_P, cells))
+#: The three ways to a nearest distance or a prune net: a k-d tree, one of
+#: scipy's C distance matrices (cdist, or pdist for prune), and numpy's
+#: dense kernel (_pair_terms; prune has none, and takes pdist).
+TIERS = ("tree", "scipy", "numpy")
+
+EVERYWHERE = 10**18
 
 
-DENSE_EVERYWHERE = 10**18
+def force_tier(monkeypatch, tier):
+    """Send every nearest-distance query and every prune, in at most
+    _DENSE_MAX_DIM coordinates, down one tier, whatever its size."""
+    caps = {"tree": (0, 0, 0), "scipy": (0, EVERYWHERE, EVERYWHERE),
+            "numpy": (EVERYWHERE, EVERYWHERE, EVERYWHERE)}[tier]
+    monkeypatch.setattr("setint.setops._DENSE_CELLS", dict.fromkeys(_KDTREE_P, caps[0]))
+    monkeypatch.setattr("setint.setops._DENSE_PAIRS", caps[1])
+    monkeypatch.setattr("setint.setops._PDIST_ROWS", caps[2])
 
 
 def _raw_sum(space, gens, n):
@@ -937,9 +981,9 @@ def test_hausdorff_equals_two_tree_value_in_both_orders(monkeypatch, a, b):
     want = _two_tree_hausdorff(a, b)
     assert hausdorff(a, b) == want
     assert hausdorff(b, a) == want
-    # the same bits down either path
-    for cells in (0, DENSE_EVERYWHERE):
-        force_dense_cells(monkeypatch, cells)
+    # the same bits down every tier
+    for tier in TIERS:
+        force_tier(monkeypatch, tier)
         assert hausdorff(a, b) == hausdorff(b, a) == want
         assert one_sided_hausdorff(a, b) == cKDTree(a.points).query(b.points, p=p)[0].max()
 
@@ -966,7 +1010,7 @@ def _dense_cases(dim):
 def test_dense_nearest_distances_are_kdtree_bits(monkeypatch, make, dim):
     space = make(dim)
     p = _KDTREE_P[space.norm]
-    force_dense_cells(monkeypatch, DENSE_EVERYWHERE)
+    force_tier(monkeypatch, "numpy")
     overflowed = 0
     for a, b in _dense_cases(dim):
         assert setops._dense(space, len(a) * len(b))
@@ -979,9 +1023,9 @@ def test_dense_nearest_distances_are_kdtree_bits(monkeypatch, make, dim):
     assert not setops._dense(make(setops._DENSE_MAX_DIM + 1), 1)
 
 
-@pytest.mark.parametrize("cells", [0, DENSE_EVERYWHERE])
-def test_distances_past_the_float_range_are_computed_on_scaled_clouds(monkeypatch, cells):
-    force_dense_cells(monkeypatch, cells)
+@pytest.mark.parametrize("tier", TIERS)
+def test_distances_past_the_float_range_are_computed_on_scaled_clouds(monkeypatch, tier):
+    force_tier(monkeypatch, tier)
     # l2 squares overflow, the distance does not
     seg, far = ps(l2(2), [[0, 0], [1, 0]]), ps(l2(2), [[1e160, 1e160], [0, 1], [2, 2]])
     assert hausdorff(seg, far) == hausdorff(far, seg) == pytest.approx(SQ2 * 1e160, rel=1e-15)
@@ -1000,7 +1044,7 @@ def test_distances_past_the_float_range_are_computed_on_scaled_clouds(monkeypatc
 
 
 @pytest.mark.parametrize("make", [l1, l2, linf])
-def test_hull_distances_take_the_same_bits_on_either_path(monkeypatch, make):
+def test_hull_distances_take_the_same_bits_on_every_tier(monkeypatch, make):
     rng = np.random.default_rng(12)
     pairs = [(random_ps(make(dim), m, rng), random_ps(make(dim), n, rng))
              for dim, m, n in ((2, 3, 5), (2, 9, 9), (3, 4, 12), (3, 12, 20))]
@@ -1009,16 +1053,16 @@ def test_hull_distances_take_the_same_bits_on_either_path(monkeypatch, make):
     tri = ps(make(2), [[0, 0], [1, 0], [0, 1]])
     pairs += [(tri, ps(make(2), [x, [1, 0], [0, 1]])) for x in ([-1e160, 0.0], [1e300, -1e300])]
     got = []
-    for cells in (0, DENSE_EVERYWHERE):
-        force_dense_cells(monkeypatch, cells)
+    for tier in TIERS:
+        force_tier(monkeypatch, tier)
         got.append([hausdorff_hulls(a, b) for a, b in pairs])
-    assert got[0] == got[1]
+    assert got[0] == got[1] == got[2]
 
 
 def _count_trees(monkeypatch):
     """The sizes of the k-d trees built from here on, every query taking the
     tree path."""
-    force_dense_cells(monkeypatch, 0)
+    force_tier(monkeypatch, "tree")
     built = []
 
     def counting(data, *args, **kwargs):
@@ -1115,6 +1159,94 @@ def test_hausdorff_of_far_apart_clouds_is_exact(monkeypatch, make):
 
 
 # ---------------------------------------------------------------------------
+# Tiers: a k-d tree, scipy's C distance matrices and numpy's dense kernel
+# give the same rows and the same floats.
+
+
+def _pair_distances(space, a, b):
+    return cdist(a, b, metric=cdist_metric(space)).ravel()
+
+
+def _tier_cases(space):
+    """(a, b, delta): random normal clouds and 1/8-grid clouds, with delta
+    equal to one of the cloud's own pair distances (a tie), and clouds whose
+    l2 squares (and l1 distances) pass the float range, with no delta: there
+    cKDTree's pair and ball queries raise ValueError."""
+    rng = np.random.default_rng(space.dim)
+    dim = space.dim
+    for n, m in ((2, 1), (17, 9), (60, 45), (150, 20)):
+        a, b = random_ps(space, n, rng), random_ps(space, m, rng)
+        yield a, b, float(np.quantile(_pair_distances(space, a.points, a.points), 0.1, method="lower"))
+        a = ps(space, rng.integers(0, 9, (n, dim)) / 8.0)
+        b = ps(space, rng.integers(0, 9, (m, dim)) / 8.0)
+        gaps = np.unique(_pair_distances(space, a.points, a.points))
+        yield a, b, float(gaps[min(2, len(gaps) - 1)])
+    a = ps(space, rng.standard_normal((40, dim)) * 1e160)
+    b = ps(space, rng.standard_normal((25, dim)) * 1e160)
+    yield a, b, None
+    a = ps(space, rng.uniform(0.6, 1, (40, dim)) * 1.7e308)
+    yield a, ps(space, rng.uniform(-1, -0.6, (25, dim)) * 1.7e308), None
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+@pytest.mark.parametrize("dim", range(1, setops._DENSE_MAX_DIM + 1))
+def test_every_tier_keeps_the_same_rows_and_distances(monkeypatch, make, dim):
+    space = make(dim)
+    got, ran = {}, []
+    for name in ("_cdist_terms", "_pair_terms", "_net_by_pdist", "cKDTree"):
+        kernel = getattr(setops, name)
+        monkeypatch.setattr(setops, name, lambda *args, name=name, kernel=kernel: ran.append(name) or kernel(*args))
+    for tier in TIERS:
+        force_tier(monkeypatch, tier)
+        ran.clear()
+        got[tier] = [
+            (delta and prune(a, delta).base.points.tobytes(), hausdorff(a, b), hausdorff(b, a),
+             one_sided_hausdorff(a, b), one_sided_hausdorff(b, a))
+            for a, b, delta in _tier_cases(space)
+        ]
+        assert set(ran) == {"tree": {"cKDTree"}, "scipy": {"_cdist_terms", "_net_by_pdist"},
+                            "numpy": {"_pair_terms", "_net_by_pdist"}}[tier]
+    assert got["tree"] == got["scipy"] == got["numpy"]
+    # some rows were pruned; the l2 squares of the clouds at 1e160 passed
+    # the float range, not their distances, and the last clouds' distances did
+    cases = list(_tier_cases(space))
+    assert any(delta and len(row[0]) < a.points.nbytes for row, (a, _, delta) in zip(got["tree"], cases))
+    assert got["tree"][-2][1] < math.inf == got["tree"][-1][1]
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+@pytest.mark.parametrize("n, delta", [(300, 1e150), (300, 1e158), (600, 1e150), (600, 3e159)])
+def test_prune_of_a_cloud_past_the_square_range_equals_its_scaled_prune(make, n, delta):
+    # at 1e160 the l2 squares of the extent pass the float range, and
+    # cKDTree would raise ValueError; 1e158 * 1e158 passes it too
+    rng = np.random.default_rng(n)
+    unit = 2.0**531
+    small = PointSet(make(2), rng.standard_normal((n, 2)))
+    far = PointSet(make(2), small.points * unit)
+    assert np.array_equal(prune(far, delta).base.points, prune(small, delta / unit).base.points * unit)
+
+
+@pytest.mark.parametrize("tier", ["scipy", "numpy"])
+@pytest.mark.parametrize("make", [l1, l2, linf])
+@pytest.mark.parametrize("dim", [8, 9, 12])
+def test_eight_or_more_coordinates_take_the_tree(monkeypatch, tier, make, dim):
+    # there cKDTree adds l2 squares in four interleaved partial sums, which
+    # neither cdist nor numpy's kernel does
+    force_tier(monkeypatch, tier)
+
+    def dense(*args):
+        raise AssertionError("a distance matrix was computed")
+
+    for name in ("_cdist_terms", "_pair_terms", "_net_by_pdist"):
+        monkeypatch.setattr(f"setint.setops.{name}", dense)
+    rng = np.random.default_rng(dim)
+    a, b = random_ps(make(dim), 40, rng), random_ps(make(dim), 30, rng)
+    assert hausdorff(a, b) == _two_tree_hausdorff(a, b)
+    assert one_sided_hausdorff(a, b) == cKDTree(a.points).query(b.points, p=_KDTREE_P[a.space.norm])[0].max()
+    assert np.array_equal(prune(a, 2.0).base.points, _ref_prune_points(a, 2.0))
+
+
+# ---------------------------------------------------------------------------
 # prune's result and its ball-size sample
 
 
@@ -1160,6 +1292,7 @@ def test_prune_stops_counting_balls_once_the_walk_is_decided(monkeypatch):
 @pytest.mark.parametrize("make", [l1, l2, linf])
 @pytest.mark.parametrize("n, delta", [(300, 0.05), (2000, 0.02), (2000, 0.045), (2000, 0.1), (5000, 0.3)])
 def test_prune_picks_the_walk_the_full_sample_picks(monkeypatch, make, n, delta):
+    force_tier(monkeypatch, "tree")  # 300 rows would take pdist
     a = PointSet(make(2), np.random.default_rng(n).random((n, 2)))
     p = _KDTREE_P[a.space.norm]
     sample = a.points[::max(_BALL_STRIDE, math.ceil(len(a) / _BALL_SAMPLE))]

@@ -37,6 +37,20 @@ def test_norms_vectorized_matches_scalar():
             assert norm(space, row) == pytest.approx(v, abs=1e-15)
 
 
+def test_l2_norms_past_the_square_range_are_scaled_and_others_keep_their_bits(recwarn):
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-150, 150, (50, 1))
+    want = np.sqrt((rows * rows).sum(axis=1))
+    far = np.array([[3e200, -4e200, 0.0], [-1e160, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]])
+    got = norms(l2(3), np.concatenate([rows, far]))
+    assert np.array_equal(got[:50], want)
+    assert got[50] == pytest.approx(5e200, rel=1e-15)
+    assert got[51] == 1e160
+    assert got[52] == math.inf  # the norm itself passes the float range
+    assert norm(l2(2), [-1e160, 1e160]) == pytest.approx(math.sqrt(2) * 1e160, rel=1e-15)
+    assert not recwarn.list
+
+
 def test_cdist_metric_names():
     assert cdist_metric(l1(2)) == "cityblock"
     assert cdist_metric(l2(2)) == "euclidean"
