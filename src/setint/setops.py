@@ -23,11 +23,15 @@ scipy.optimize, is imported only on first use.  A finite Hausdorff distance
 above the caps queries the larger cloud against a tree of the smaller one,
 and each answer bounds its nearest smaller point's distance to the larger
 cloud; only the smaller points left unbounded query a tree of the larger
-cloud.  Above _TWO_LEVEL_ROWS points a second level of grid cells, sized by
-a sampled lower bound on the distance, settles most points of both clouds by
-numpy distances to one representative per cell, and only the rest query a
-tree.  The result is the same float either way.  A distance past the float
-range is computed again on both clouds scaled by a power of two.
+cloud.  Above _TWO_LEVEL_ROWS points a second level of grid cells settles
+most points of both clouds by numpy distances to one representative per
+cell, and only the rest query a tree.  The cells are sized by the largest
+distance of _LOWER_SAMPLE evenly spaced larger points, a lower bound, and
+held in one array of slots indexed by cell; a cell's representative is a
+smaller point inside it, and only cells with none query the tree, with
+their centres, in one call.  The result is the same float either way.  A
+distance past the float range is computed again on both clouds scaled by a
+power of two.
 """
 
 from __future__ import annotations
@@ -525,14 +529,22 @@ def one_sided_hausdorff(a: PointSet, b: PointSet) -> float:
 
 #: hausdorff settles the rows of a larger cloud of at least this many rows by
 #: grid cells (see _settle_by_cells).  Per pair of consecutive raw Riemann
-#: sums of a constant body (medians over 8 random bodies, 2-vCPU Xeon), the
-#: cells cut 20,349 rows against 1,287 in 2-D from 7.7-10.3 ms to 2.8 ms,
-#: but made 6,545 rows against 969 in 3-D slower (l2: 3.5 -> 4.0 ms).
+#: sums of a constant body (one pinned core of a 2-vCPU Xeon), the cells
+#: take 20,349 rows against 1,287 from 8-9 ms to 2.0 ms in 2-D (the nine
+#: raw_sets pairs of seeds 7-9) and from 13-28 ms to 5.5-7 ms in 3-D (medians
+#: over 4 random bodies), but leave 6,545 rows against 969 in 3-D about
+#: even (l2: 4.1 ms, 4.2-5.4 ms with cells).
 _TWO_LEVEL_ROWS = 8192
 
 #: About this many evenly spaced larger rows are queried first; the largest
-#: of their distances is the lower bound that sizes the cells.
-_LOWER_SAMPLE = 64
+#: of their distances is the lower bound that sizes the cells.  On the nine
+#: 2-D pairs it is 0.44-0.96 of the result, and 0.1-2.3% of the larger rows
+#: stay unsettled; 64 rows gave 0.35-0.69 and 0.6-6.7%.
+_LOWER_SAMPLE = 256
+
+#: Most slots of the cells' array per larger row; a box that would take
+#: more gets no cells, and every row queries the tree.
+_CELLS_PER_ROW = 4
 
 #: A numpy distance at most _SETTLE times a bound puts the cKDTree distance
 #: of the same two rows below that bound.  numpy sums a column's terms in
@@ -540,9 +552,9 @@ _LOWER_SAMPLE = 64
 #: in four interleaved partial sums from 8 coordinates on (measured up to
 #: 24), which moves the sum by a few units in 1e-16.  Below _MIN_LOWER l2
 #: squares leave the normal range, where that fails.  Above _MAX_LOWER a
-#: distance within the cells could pass the float range: they span at most
-#: 2^52 cells of side at most the lower bound along each axis.  Outside
-#: that range the cells are not used.
+#: distance within the box could pass the float range: along each axis it
+#: spans at most _CELLS_PER_ROW cells per larger row, each of side at most
+#: the lower bound.  Outside that range the cells are not used.
 _SETTLE = 1 - 1e-12
 _MIN_LOWER = 1e-140
 _MAX_LOWER = 1e100
@@ -603,17 +615,17 @@ def _hausdorff_rows(small: np.ndarray, large: np.ndarray, space: SpaceDescriptor
 def _settle_by_cells(tree, small: np.ndarray, large: np.ndarray, p: float):
     """The larger cloud's side and the mask of the smaller rows left open, as
     _hausdorff_rows uses them, with exact queries only for the rows the
-    cells do not settle; None where the cells cannot be keyed.
+    cells do not settle; None past _CELLS_PER_ROW slots per larger row.
 
-    The largest distance of a sample of larger rows is a lower bound,
-    ``lower``, on that side.  The larger rows' bounding box is cut into cells
-    of diameter ``lower``, and the smaller row nearest each occupied cell's
-    centre is its representative.  A larger row whose numpy distance to its
-    representative is below ``lower`` by the margin _SETTLE is settled, and
-    only the others query the tree.  An open smaller row is settled when a
-    larger row of its own cell lies within the maximum by the same margin.
-    The clouds are held as (d, n) columns, whose reductions along a row are
-    contiguous.
+    The largest distance of _LOWER_SAMPLE evenly spaced larger rows is a
+    lower bound, ``lower``, on that side.  The larger rows' bounding box is
+    cut into cells of diameter ``lower``, one array slot each.  A cell's
+    representative is a smaller row in it, else the smaller row nearest its
+    centre.  A larger row whose numpy distance to its representative is
+    below ``lower`` by the margin _SETTLE is settled, and only the others
+    query the tree.  An open smaller row is settled when a larger row of its
+    own cell lies within the maximum by the same margin.  The clouds are
+    held as (d, n) columns, whose reductions along a row are contiguous.
     """
     lower = tree.query(large[::max(1, len(large) // _LOWER_SAMPLE)], p=p)[0].max()
     if not _MIN_LOWER < lower < _MAX_LOWER:
@@ -621,42 +633,41 @@ def _settle_by_cells(tree, small: np.ndarray, large: np.ndarray, p: float):
     dim = large.shape[1]
     side = lower / {1.0: dim, 2.0: math.sqrt(dim)}.get(p, 1)
     cols = large.T.copy()
-    low, high = cols.min(axis=1), cols.max(axis=1)
-    span = (high - low) / side
-    # below 2^52 cells, cell indices computed in floats are exact
-    if not np.isfinite(span).all() or math.prod(int(s) + 1 for s in span) > 2**52:
+    origin = cols.min(axis=1)[:, None]
+    counts = np.floor((cols.max(axis=1) - origin[:, 0]) / side) + 1
+    size = counts.prod()
+    if not size <= _CELLS_PER_ROW * len(large):  # also where inf
         return None
-    origin, span = low[:, None], span[:, None]
-    strides = np.cumprod([1, *(int(s) + 1 for s in span[:-1, 0])])[:, None]
+    strides = np.cumprod([1, *counts[:-1].astype(np.int64)])
     grid = ((cols - origin) / side).astype(np.int64)
-    # np.unique with return_index sorts stably, about 3 ms on 20,000 keys
-    keys = (grid * strides).sum(axis=0)
-    order = keys.argsort()
-    fresh = np.empty(len(keys), dtype=bool)
-    fresh[0] = True
-    np.not_equal(keys[order[1:]], keys[order[:-1]], out=fresh[1:])
-    cells, first = keys[order[fresh]], order[fresh]  # first: some row of each cell
-    inverse = np.empty_like(order)
-    inverse[order] = fresh.cumsum() - 1
-    centres = origin + (grid[:, first] + 0.5) * side
-    reps = tree.query(centres.T, p=p)[1][inverse]
+    keys = strides @ grid
+    with np.errstate(over="ignore"):  # a far smaller row lies outside
+        spots = np.floor((small.T - origin) / side)
+    inside = np.flatnonzero(((spots >= 0) & (spots < counts[:, None])).all(axis=0))
+    inner = strides @ spots[:, inside].astype(np.int64)
+    # the slots take the smaller rows inside the box, then the larger rows:
+    # a slot still holding a smaller row has no larger row
+    slots = np.full(int(size), -1)
+    slots[inner] = inside
+    reps = slots[keys]
+    slots[keys] = np.arange(len(large))
+    lonely = np.flatnonzero(reps < 0)
+    heads = slots[keys[lonely]]
+    first = lonely[heads == lonely]  # one larger row of each such cell
+    reps[first] = tree.query((origin + (grid[:, first] + 0.5) * side).T, p=p)[1]
+    reps[lonely] = reps[heads]
     near = _column_norms(p, cols - small.T[:, reps]) <= lower * _SETTLE
-    worst = lower
+    dists, nearest = tree.query(large[~near], p=p)
+    worst = dists.max(initial=lower)
     open_rows = np.ones(len(small), dtype=bool)
-    open_rows[reps[near]] = False
-    if not near.all():
-        dists, nearest = tree.query(large[~near], p=p)
-        worst = max(worst, dists.max())
-        open_rows[nearest] = False
-    # the open smaller rows inside the box, and a larger row of their cell
-    rows = np.flatnonzero(open_rows)
-    spots = np.floor((small.T[:, rows] - origin) / side)
-    inside = ((spots >= 0) & (spots <= span)).all(axis=0)
-    rows, keys = rows[inside], (spots[:, inside].astype(np.int64) * strides).sum(axis=0)
-    at = np.minimum(np.searchsorted(cells, keys), len(cells) - 1)
-    hit = cells[at] == keys
-    rows, mates = rows[hit], cols[:, first[at[hit]]]
-    open_rows[rows[_column_norms(p, small.T[:, rows] - mates) <= worst * _SETTLE]] = False
+    open_rows[reps[near]] = open_rows[nearest] = False
+    # the open smaller rows inside the box, and the larger row of their slot
+    still = open_rows[inside]
+    rows, cells = inside[still], inner[still]
+    mates = slots[cells]
+    hit = keys[mates] == cells  # else the slot holds a smaller row
+    rows, mates = rows[hit], mates[hit]
+    open_rows[rows[_column_norms(p, small.T[:, rows] - cols[:, mates]) <= worst * _SETTLE]] = False
     return worst, open_rows
 
 

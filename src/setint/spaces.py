@@ -79,23 +79,26 @@ def _norms_nocheck(space: SpaceDescriptor, points: np.ndarray) -> np.ndarray:
 #: absolute value passes the float range.
 SQUARE_SAFE = 2.0**500
 
+#: The smallest normal float, 2^-1022.
+_TINY = float(np.finfo(float).tiny)
+
 
 def _l2_norms(points: np.ndarray) -> np.ndarray:
-    """Row-wise l2 norms.  A row whose sum of squares passes the float range
-    is computed again on its coordinates divided by one power of two, the
-    largest not above its largest |coordinate| (exact, and it brings them
-    into (-2, 2)), and scaled back; so it is inf only where the norm is, and
-    other rows keep their bits."""
-    if np.abs(points).max(initial=0.0) <= SQUARE_SAFE:
-        return np.sqrt((points * points).sum(axis=1))
+    """Row-wise l2 norms.  A row whose sum of squares passes the float range,
+    or falls below its normal range (2^-1022), is computed again on its
+    coordinates divided by one power of two, the largest not above its
+    largest |coordinate| (exact, and it brings them into (-2, 2)), and
+    scaled back; so it is inf only where the norm is, a tiny norm keeps its
+    precision, and other rows keep their bits."""
     with np.errstate(over="ignore"):
         squares = (points * points).sum(axis=1)
         out = np.sqrt(squares)
-        far = np.flatnonzero(squares == np.inf)
-        rows = points[far]
-        unit = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1] - 1)
-        rows = rows / unit[:, None]
-        out[far] = unit * np.sqrt((rows * rows).sum(axis=1))
+        odd = np.flatnonzero((squares < _TINY) | (squares == np.inf))
+        if len(odd):  # a row of zeros, with unit 2^-1, stays 0
+            rows = points[odd]
+            unit = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1))[1] - 1)
+            rows = rows / unit[:, None]
+            out[odd] = unit * np.sqrt((rows * rows).sum(axis=1))
     return out
 
 

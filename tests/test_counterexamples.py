@@ -124,11 +124,13 @@ def test_bruteforce_oracle_matches_a_loop_over_count_vectors(n, trunc, parts):
 
 
 def test_bruteforce_oracle_cap():
-    # C(21 + 7 - 1, 7) = 888,030 count vectors pass the cap of 10**6;
-    # C(22 + 7 - 1, 7) = 1,184,040 do not
-    assert math.comb(21 + 6, 7) <= 10 ** 6 < math.comb(22 + 6, 7)
+    # C(18 + 7 - 1, 7) = 346,104 count vectors of 18 entries pass the cap of
+    # 2^23 entries; C(19 + 7 - 1, 7) = 480,700 of 19 entries do not
+    assert math.comb(18 + 6, 7) * 18 <= 2**23 < math.comb(19 + 6, 7) * 19
+    assert l1_counterexample_bruteforce(CounterexampleL1(4, 18)) == pytest.approx(
+        l1_counterexample_lower_bound(CounterexampleL1(4, 18)), abs=1e-12)
     with pytest.raises(ResourceLimitError):
-        l1_counterexample_bruteforce(CounterexampleL1(4, 22))
+        l1_counterexample_bruteforce(CounterexampleL1(4, 19))
 
 
 def test_generators_dimension_cap():

@@ -19,6 +19,7 @@ from setint.setops import (
     _BALL_CHUNK,
     _BALL_SAMPLE,
     _BALL_STRIDE,
+    _CELLS_PER_ROW,
     DEDUP_TOL,
     _KDTREE_P,
     _PAIR_WALK_MAX_BALL,
@@ -1099,10 +1100,12 @@ def _large_hausdorff_pairs(space):
     grid = np.stack(np.unravel_index(rng.choice(side**dim, n, replace=False), (side,) * dim), axis=1)
     yield ("grid-ties", ps(space, grid / 4.0),
            ps(space, rng.integers(0, side, (400, dim)) / 4.0 + 0.125), True)
-    # clusters of 25 rows within about 1e-9; the smaller cloud misses some
+    # clusters of 25 rows within about 1e-9; the smaller cloud misses some.
+    # In 6-D, l1 and l2 cells (of side lower / 6 and lower / sqrt(6)) would
+    # need more than _CELLS_PER_ROW slots per row
     centres = rng.standard_normal((400, dim))
     yield ("near-duplicates", ps(space, centres.repeat(25, axis=0) + 1e-9 * rng.standard_normal((10_000, dim))),
-           ps(space, centres[:360] + 1e-9 * rng.standard_normal((360, dim))), True)
+           ps(space, centres[:360] + 1e-9 * rng.standard_normal((360, dim))), dim < 6 or space.norm == "linf")
     # a line of larger rows 1 apart and smaller rows 50 apart, with holes of
     # radius 28 (30 for the first) in the larger rows: the smaller row at a
     # centre represents some cells, yet lies farther from the larger rows
@@ -1142,6 +1145,35 @@ def test_hausdorff_of_large_clouds_equals_two_tree_value_in_both_orders(monkeypa
     assert hausdorff(a, b) == want
     assert hausdorff(b, a) == want
     assert [s is not None for s in settled] == [cells] * 2
+
+
+@pytest.mark.parametrize("make", [l1, l2, linf])
+def test_cells_of_nested_sums_query_few_larger_rows_in_few_slots(monkeypatch, make):
+    # 20,349 and 1,287 rows, nested: the generators of the smaller cloud of
+    # _large_hausdorff_pairs' 2-D nested-sums pair, at 16 and 8 intervals
+    space = make(2)
+    gens = np.random.default_rng(91).uniform(-1, 1, (6, 2))
+    fine, coarse = _raw_sum(space, gens, 16), _raw_sum(space, gens, 8)
+    want = _two_tree_hausdorff(fine, coarse)
+    queried, slots = [], []
+
+    class Spy:
+        def __init__(self, data):
+            self.tree = cKDTree(data)
+
+        def query(self, x, p):
+            queried.append(len(x))
+            return self.tree.query(x, p=p)
+
+    full = np.full
+    monkeypatch.setattr("setint.setops.cKDTree", Spy)
+    monkeypatch.setattr(np, "full", lambda n, *args, **kwargs: slots.append(n) or full(n, *args, **kwargs))
+    assert hausdorff(fine, coarse) == want
+    # the sample, the centres of cells without a smaller row, and the rows
+    # left unsettled, all against the tree of the smaller cloud
+    assert len(queried) == 3
+    assert sum(queried) <= 0.05 * len(fine)
+    assert len(slots) == 1 and slots[0] <= _CELLS_PER_ROW * len(fine)
 
 
 @pytest.mark.parametrize("make", [l1, l2, linf])

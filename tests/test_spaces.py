@@ -51,6 +51,20 @@ def test_l2_norms_past_the_square_range_are_scaled_and_others_keep_their_bits(re
     assert not recwarn.list
 
 
+def test_l2_norms_below_the_normal_square_range_are_scaled_and_others_keep_their_bits(recwarn):
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((50, 2)) * 10.0 ** rng.integers(-150, 150, (50, 1))
+    want = np.sqrt((rows * rows).sum(axis=1))
+    tiny = np.array([[1e-170, 0.0], [3e-160, 4e-160], [0.0, -0.0], [5e-324, 0.0]])
+    got = norms(l2(2), np.concatenate([rows, tiny]))
+    assert np.array_equal(got[:50], want)
+    assert got[50] == 1e-170  # its square rounds to 0
+    assert abs(got[51] - math.hypot(3e-160, 4e-160)) <= math.ulp(got[51])
+    assert got[52] == 0.0
+    assert got[53] == 5e-324
+    assert not recwarn.list
+
+
 def test_cdist_metric_names():
     assert cdist_metric(l1(2)) == "cityblock"
     assert cdist_metric(l2(2)) == "euclidean"
