@@ -101,7 +101,7 @@ def l1_counterexample_bruteforce(cfg: CounterexampleL1, parts: int | None = None
             f"the brute-force oracle would enumerate {vectors} count vectors of "
             f"{cfg.trunc_dim} entries (limit {_ORACLE_CAP} entries); lower N or n"
         )
-    counts = minkowski_power(gens, m, limit=_ORACLE_CAP).points
+    counts = minkowski_power(gens, m, limit=vectors).points
     k = cfg.witness_support
     y = np.zeros(cfg.trunc_dim)
     y[:k] = 1.0 / k

@@ -90,15 +90,18 @@ def _l2_norms(points: np.ndarray) -> np.ndarray:
     largest |coordinate| (exact, and it brings them into (-2, 2)), and
     scaled back; so it is inf only where the norm is, a tiny norm keeps its
     precision, and other rows keep their bits."""
+    if np.abs(points).max(initial=0.0) <= SQUARE_SAFE:
+        squares = (points * points).sum(axis=1)
+        if squares.min(initial=_TINY) >= _TINY:
+            return np.sqrt(squares)
     with np.errstate(over="ignore"):
         squares = (points * points).sum(axis=1)
         out = np.sqrt(squares)
         odd = np.flatnonzero((squares < _TINY) | (squares == np.inf))
-        if len(odd):  # a row of zeros, with unit 2^-1, stays 0
-            rows = points[odd]
-            unit = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1))[1] - 1)
-            rows = rows / unit[:, None]
-            out[odd] = unit * np.sqrt((rows * rows).sum(axis=1))
+        rows = points[odd]  # a row of zeros, with unit 2^-1, stays 0
+        unit = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1] - 1)
+        rows = rows / unit[:, None]
+        out[odd] = unit * np.sqrt((rows * rows).sum(axis=1))
     return out
 
 

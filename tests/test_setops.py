@@ -22,6 +22,7 @@ from setint.setops import (
     _CELLS_PER_ROW,
     DEDUP_TOL,
     _KDTREE_P,
+    _LOWER_SAMPLE,
     _PAIR_WALK_MAX_BALL,
     _TWO_LEVEL_ROWS,
     PointSet,
@@ -1148,14 +1149,14 @@ def test_hausdorff_of_large_clouds_equals_two_tree_value_in_both_orders(monkeypa
 
 
 @pytest.mark.parametrize("make", [l1, l2, linf])
-def test_cells_of_nested_sums_query_few_larger_rows_in_few_slots(monkeypatch, make):
+def test_cells_of_nested_sums_query_few_larger_rows(monkeypatch, make):
     # 20,349 and 1,287 rows, nested: the generators of the smaller cloud of
     # _large_hausdorff_pairs' 2-D nested-sums pair, at 16 and 8 intervals
     space = make(2)
     gens = np.random.default_rng(91).uniform(-1, 1, (6, 2))
     fine, coarse = _raw_sum(space, gens, 16), _raw_sum(space, gens, 8)
     want = _two_tree_hausdorff(fine, coarse)
-    queried, slots = [], []
+    queried = []
 
     class Spy:
         def __init__(self, data):
@@ -1165,15 +1166,25 @@ def test_cells_of_nested_sums_query_few_larger_rows_in_few_slots(monkeypatch, ma
             queried.append(len(x))
             return self.tree.query(x, p=p)
 
-    full = np.full
     monkeypatch.setattr("setint.setops.cKDTree", Spy)
-    monkeypatch.setattr(np, "full", lambda n, *args, **kwargs: slots.append(n) or full(n, *args, **kwargs))
     assert hausdorff(fine, coarse) == want
     # the sample, the centres of cells without a smaller row, and the rows
     # left unsettled, all against the tree of the smaller cloud
     assert len(queried) == 3
     assert sum(queried) <= 0.05 * len(fine)
-    assert len(slots) == 1 and slots[0] <= _CELLS_PER_ROW * len(fine)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_cells_are_not_used_past_their_slots_per_row(p):
+    # two tight clusters far apart: cells of the lower bound's diameter would
+    # need far more than _CELLS_PER_ROW slots per larger row to cover the box
+    rng = np.random.default_rng(3)
+    large = np.concatenate([rng.uniform(0, 1e-3, (5000, 2)), rng.uniform(0, 1e-3, (5000, 2)) + 1e3])
+    small = large[::7]
+    tree = cKDTree(small)
+    lower = tree.query(large[::max(1, len(large) // _LOWER_SAMPLE)], p=p)[0].max()
+    assert (2e3 / lower) ** 2 > _CELLS_PER_ROW * len(large)
+    assert _settle_by_cells(tree, small, large, p) is None
 
 
 @pytest.mark.parametrize("make", [l1, l2, linf])
